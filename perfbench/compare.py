@@ -11,8 +11,7 @@ prints, for every end-to-end metric, each side's median and quartiles and
 its spread (quartile distance over median), and whether the sets agree:
 both spreads within the metric's bound, the right median no worse than the
 left by more than the bound, and the same share of failed operations on
-both sides. ``--sides 1`` runs the left side only and checks its spreads.
-Exits 0 when everything agrees, 1 otherwise.
+both sides. Exits 0 when everything agrees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,13 +44,13 @@ def summary(values: list[float]) -> tuple[float, float, float, float]:
     return median, q1, q3, (q3 - q1) / median if median else float("inf")
 
 
-def report(spec: dict, results: dict, sides: int) -> bool:
+def report(spec: dict, results: dict) -> bool:
     agree_all = True
-    for workload, by_side in results.items():
+    for workload, sides in results.items():
         print(f"\n== {workload} ==")
-        shares = [{Fraction(r["failed"], r["attempted"]) for r in by_side[s]} for s in range(sides)]
-        share_ok = all(len(s) == 1 for s in shares) and len(set().union(*shares)) == 1
-        incorrect = sum(not r["correct"] for s in range(sides) for r in by_side[s])
+        shares = [{Fraction(r["failed"], r["attempted"]) for r in side} for side in sides]
+        share_ok = all(len(s) == 1 for s in shares) and shares[0] == shares[1]
+        incorrect = sum(not r["correct"] for side in sides for r in side)
         print(f"failed share {' | '.join(str(sorted(s)) for s in shares)}: "
               f"{'same' if share_ok else 'DIFFERS'}; incorrect runs: {incorrect}")
         agree_all &= share_ok and incorrect == 0
@@ -59,20 +58,17 @@ def report(spec: dict, results: dict, sides: int) -> bool:
             name, bound = metric["name"], metric["bound"]
             cells = []
             verdict = True
-            stats = []
-            for s in range(sides):
-                median, q1, q3, spread = summary(
-                    [r["metrics"][name]["value"] for r in by_side[s]])
-                stats.append(median)
+            medians = []
+            for side in sides:
+                median, q1, q3, spread = summary([r["metrics"][name]["value"] for r in side])
+                medians.append(median)
                 cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}] spread {spread:.3f}")
-                # set-up time is only held to its median, not its spread
-                verdict &= spread <= bound or name == "setup_s"
-            if sides == 2:
-                worse = (stats[1] - stats[0]) / stats[0]
-                if metric["better"] == "higher":
-                    worse = -worse
-                cells.append(f"worse by {worse:+.3f}")
-                verdict &= worse <= bound
+                verdict &= spread <= bound
+            worse = (medians[1] - medians[0]) / medians[0]
+            if metric["better"] == "higher":
+                worse = -worse
+            cells.append(f"worse by {worse:+.3f}")
+            verdict &= worse <= bound
             agree_all &= verdict
             print(f"  {name:18s} bound {bound:<5} {' | '.join(cells)}  "
                   f"{'agree' if verdict else 'DISAGREE'}")
@@ -83,41 +79,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--left", type=Path, default=ROOT)
     parser.add_argument("--right", type=Path, default=ROOT)
-    parser.add_argument("--sides", type=int, choices=(1, 2), default=2)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", default="",
                         help="comma-separated names; default all in BENCHMARK.json")
-    parser.add_argument("--save", type=Path, help="write the raw results here")
-    parser.add_argument("--load", type=Path, help="report saved results instead of running")
     args = parser.parse_args(argv)
     if args.runs < 4:
         parser.error("--runs must be at least 4 for quartiles")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.load:
-        saved = json.loads(args.load.read_text(encoding="utf-8"))
-        sides, results = saved["sides"], saved["results"]
-    else:
-        names = args.workloads.split(",") if args.workloads else [
-            w["name"] for w in spec["workloads"]]
-        sides = args.sides
-        checkouts = [args.left.resolve(), args.right.resolve()][:sides]
-        results = {}
-        for workload in names:
-            results[workload] = [[] for _ in range(sides)]
-            for i in range(args.runs):
-                seed = args.first_seed + i
-                order = range(sides) if i % 2 == 0 else reversed(range(sides))
-                for s in order:
-                    results[workload][s].append(
-                        run_once(checkouts[s], workload, seed, spec["run_seconds"]))
-                    print(f"{workload} seed {seed} side {s}: "
-                          f"{json.dumps(results[workload][s][-1]['metrics'])}", flush=True)
-        if args.save:
-            args.save.write_text(json.dumps({"sides": sides, "results": results}),
-                                 encoding="utf-8")
-    return 0 if report(spec, results, sides) else 1
+    names = args.workloads.split(",") if args.workloads else [
+        w["name"] for w in spec["workloads"]]
+    checkouts = [args.left.resolve(), args.right.resolve()]
+    results = {}
+    for workload in names:
+        results[workload] = [[], []]
+        for i in range(args.runs):
+            seed = args.first_seed + i
+            for s in ((0, 1) if i % 2 == 0 else (1, 0)):
+                results[workload][s].append(
+                    run_once(checkouts[s], workload, seed, spec["run_seconds"]))
+                print(f"{workload} seed {seed} side {s}: "
+                      f"{json.dumps(results[workload][s][-1]['metrics'])}", flush=True)
+    return 0 if report(spec, results) else 1
 
 
 if __name__ == "__main__":

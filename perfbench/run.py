@@ -128,10 +128,7 @@ def main(argv=None) -> int:
 
     # In a traced run, odd rounds are traced and even rounds are not; the gap
     # between their retrieval times is the tracing overhead.
-    # Inputs, trees and check caches live for the whole run; frozen, they are
-    # not traversed again by every full collection the scans trigger.
     gc.collect()
-    gc.freeze()
     start = time.perf_counter()
     rounds = 0
     while True:
