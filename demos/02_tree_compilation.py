@@ -54,7 +54,7 @@ show(tree.root)
 # %% All three cases enter through one shared root node; the flat list
 # would store eight perceptions, the tree five nodes.
 
-print(f"\npredicate nodes: {ct.perception_node_count(tree)}")
+print(f"\npredicate nodes: {tree.node_count}")
 print(f"flat perceptions: {ct.linear_perception_count(cases)}")
 print(f"leaves: {tree.leaf_count}, depth: {tree.depth}")
 

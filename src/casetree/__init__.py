@@ -65,14 +65,11 @@ from .retrieval import (
     UNBOUNDED,
     build_tree,
     linear_perception_count,
-    perception_node_count,
     scan_linear,
     scan_tree,
 )
 from .similarity import (
-    MatchState,
     SimilarityParams,
-    anytime_similarity,
     similarity,
 )
 from .world import (

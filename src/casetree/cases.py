@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from xml.sax.saxutils import escape
 
-from .context import Context, ContextError, Violation, validate_perception
+from .context import Context, ContextError, Violation, validate_perception, xml_attribute
 
 
 @dataclass(frozen=True)
@@ -441,15 +442,6 @@ def case_equivalent(a: GenericCase, b: GenericCase) -> bool:
     return search(generic_ps, {}, set())
 
 
-def dedupe(cases: list[GenericCase]) -> list[GenericCase]:
-    """Drop cases equivalent (up to label renaming) to an earlier one."""
-    kept: list[GenericCase] = []
-    for c in cases:
-        if not any(case_equivalent(c, k) for k in kept):
-            kept.append(c)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
@@ -575,11 +567,12 @@ def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tup
 def serialize_case_base(cases: list[GenericCase], priority: tuple[str, ...],
                         ctx: Context) -> str:
     """Emit a caseBase document that parse_case_base reads back identically."""
-    lines = ["<caseBase>", f"  <priority>{','.join(priority)}</priority>"]
+    q = xml_attribute
+    lines = ["<caseBase>", f"  <priority>{escape(','.join(priority))}</priority>"]
     for case in cases:
-        lines.append(f'  <case id="{case.id}" action="{case.action}">')
+        lines.append(f'  <case id="{q(case.id)}" action="{q(case.action)}">')
         for p, w in zip(case.perceptions, case.weights):
-            lines.append(f'    <predicate name="{p.name}" weight="{w!r}">')
+            lines.append(f'    <predicate name="{q(p.name)}" weight="{w!r}">')
             schema = ctx.predicates.get(p.name)
             for k, v in enumerate(p.values):
                 if v.kind == "me":
@@ -590,9 +583,9 @@ def serialize_case_base(cases: list[GenericCase], priority: tuple[str, ...],
                     type_name = "Agent"
                 else:
                     type_name = v.sort or (schema.params[k][1] if schema else "DomainObject")
-                lines.append(f'      <value val="{v.name}" type="{type_name}"/>')
+                lines.append(f'      <value val="{q(v.name)}" type="{q(type_name)}"/>')
             choice = {True: "true", False: "false"}.get(p.choice, p.choice)
-            lines.append(f'      <choice val="{choice}"/>')
+            lines.append(f'      <choice val="{q(choice)}"/>')
             lines.append("    </predicate>")
         lines.append("  </case>")
     lines.append("</caseBase>")

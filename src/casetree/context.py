@@ -33,6 +33,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
+from xml.sax.saxutils import escape
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cases import Perception
@@ -318,17 +319,23 @@ def _parse_schema(elem, name, path, sort_table, domains) -> PredicateSchema:
         raise ContextError(str(exc), path) from None
 
 
+def xml_attribute(value: str) -> str:
+    """Escape text for a double-quoted XML attribute value."""
+    return escape(value, {'"': "&quot;"})
+
+
 def serialize_context(ctx: Context) -> str:
     """Emit the canonical document form; parse(serialize(ctx)) == ctx."""
+    q = xml_attribute
     lines = ["<ctx>"]
     for domain in ctx.domains.values():
-        lines.append(f'  <domain name="{domain.domain}" values="{",".join(domain.labels)}"/>')
+        lines.append(f'  <domain name="{q(domain.domain)}" values="{q(",".join(domain.labels))}"/>')
     for schema in ctx.predicates.values():
-        lines.append(f'  <predicate name="{schema.name}">')
+        lines.append(f'  <predicate name="{q(schema.name)}">')
         for var, sort_name in schema.params:
-            lines.append(f'    <variable name="{var}" type="{sort_name}"/>')
+            lines.append(f'    <variable name="{q(var)}" type="{q(sort_name)}"/>')
         type_name = "Boolean" if schema.choice.kind == "boolean" else schema.choice.domain
-        lines.append(f'    <choice name="{schema.choice_name}" type="{type_name}"/>')
+        lines.append(f'    <choice name="{q(schema.choice_name)}" type="{q(type_name)}"/>')
         lines.append("  </predicate>")
     lines.append("</ctx>")
     return "\n".join(lines) + "\n"

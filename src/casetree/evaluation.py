@@ -39,7 +39,6 @@ from .retrieval import (
     UNBOUNDED,
     build_tree,
     linear_perception_count,
-    perception_node_count,
     scan_tree,
 )
 from .similarity import DEFAULT_PARAMS, SimilarityParams, similarity
@@ -204,7 +203,7 @@ def memory_curve(stream: Iterable[GenericCase],
         acquired.append(case)
         tree = build_tree(acquired, priority)
         rows.append((len(acquired), linear_perception_count(acquired),
-                     perception_node_count(tree)))
+                     tree.node_count))
     return rows
 
 

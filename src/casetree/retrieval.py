@@ -17,9 +17,14 @@ candidate binding abandons the branch and freezes the scores of the cases
 below it; with pruning off the scan keeps walking and converges to the
 offline similarity of every case.
 
-Budget kinds: a comparison budget is enforced per test (the used count never
-exceeds it); deadline and external cancellation are observed at node
-boundaries, so no test is abandoned midway.
+Budgets are observed before every test: a comparison budget caps the used
+count exactly, and a deadline or external cancellation stops the scan before
+its next oracle call. Deadline and cancellation are also observed for every
+alternative while a test's bindings are merged and filtered, so a deadline
+is overrun by one oracle call, one alternative's work and one arc's score
+updates at most; an arc interrupted before its score updates counts as used
+but changes no case. Scores are updated as each arc is tested, so an
+interrupted scan only assembles its result.
 """
 
 from __future__ import annotations
@@ -82,7 +87,6 @@ class Arc:
     node: "TreeNode"
     test: bool | str
     child: Slot = field(default_factory=Slot)
-    touched: list[tuple[str, int]] = field(default_factory=list)  # (case id, orig index)
     below: frozenset[str] = frozenset()
 
 
@@ -94,6 +98,8 @@ class CaseTree:
     cases: dict[str, GenericCase]
     priority: tuple[str, ...]
     paths: dict[str, tuple[Arc, ...]]
+    # per case, the index into its perceptions tested at each branch position
+    order: dict[str, tuple[int, ...]]
 
     @property
     def node_count(self) -> int:
@@ -155,6 +161,7 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
     root = Slot()
     cases: dict[str, GenericCase] = {}
     paths: dict[str, tuple[Arc, ...]] = {}
+    orders: dict[str, tuple[int, ...]] = {}
 
     for case in base:
         if case.id in cases:
@@ -162,7 +169,8 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
         cases[case.id] = case
         slot = root
         path: list[Arc] = []
-        for pos, idx in enumerate(priority_order(case, priority)):
+        orders[case.id] = order = tuple(priority_order(case, priority))
+        for pos, idx in enumerate(order):
             p = case.perceptions[idx]
             node = next(
                 (n for n in slot.nodes if n.predicate == p.name and n.values == p.values),
@@ -175,13 +183,13 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
             if arc is None:
                 arc = Arc(node, p.choice)
                 node.arcs.append(arc)
-            arc.touched.append((case.id, idx))
             path.append(arc)
             slot = arc.child
         slot.case_ids.append(case.id)
         paths[case.id] = tuple(path)
 
-    tree = CaseTree(root=root, cases=cases, priority=tuple(priority), paths=paths)
+    tree = CaseTree(root=root, cases=cases, priority=tuple(priority), paths=paths,
+                    order=orders)
     below: dict[int, set[str]] = {}
     for case_id, path in paths.items():
         for arc in path:
@@ -190,11 +198,6 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
         for arc in node.arcs:
             arc.below = frozenset(below.get(id(arc), ()))
     return tree
-
-
-def perception_node_count(tree: CaseTree) -> int:
-    """Predicate nodes stored by the tree (leaves excluded)."""
-    return tree.node_count
 
 
 def linear_perception_count(base: Sequence[GenericCase]) -> int:
@@ -341,11 +344,15 @@ def _merge(binding: tuple[tuple[str, str], ...], completion: dict[str, str]):
     return tuple(sorted(current.items()))
 
 
-def _dominance_filter(alts: list[_Alt]) -> list[_Alt]:
-    """Drop alternatives that a less-constrained, better-matched one subsumes."""
+def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
+    """Drop alternatives that a less-constrained, better-matched one subsumes.
+
+    Returns None as soon as ``interrupted()`` holds before a candidate."""
     alts = sorted(set(alts), key=lambda a: (len(a[0]), a[0], sorted(a[1])))
     kept: list[_Alt] = []
     for a in alts:
+        if interrupted():
+            return None
         a_map, a_matched = dict(a[0]), a[1]
         dominated = False
         for b in alts:
@@ -361,64 +368,78 @@ def _dominance_filter(alts: list[_Alt]) -> list[_Alt]:
     return kept
 
 
-class _ScanState:
-    """Mutable bookkeeping for one scan; never shared between scans."""
+def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
+                   best: dict[str, tuple[float, tuple[tuple[str, str], ...]]],
+                   target_size: int, alpha: float) -> None:
+    """Raise every case below ``arc`` to its best score over ``alts``.
 
-    def __init__(self, tree: CaseTree, target_size: int, alpha: float):
-        self.tree = tree
-        self.target_size = target_size
-        self.alpha = alpha
-        self.score = {cid: 0.0 for cid in tree.cases}
-        self.sub = {cid: Substitution() for cid in tree.cases}
-        self.scanned = {cid: 0 for cid in tree.cases}
-        self.pruned = {cid: False for cid in tree.cases}
-        # original perception index per branch position, per case
-        self.position_index: dict[str, dict[int, int]] = {cid: {} for cid in tree.cases}
-        for node in tree.iter_nodes():
-            for arc in node.arcs:
-                for cid, orig in arc.touched:
-                    self.position_index[cid][node.depth] = orig
+    Alternatives with the same matched set score alike, so each case sums its
+    weights once per matched set, in ascending perception order. A binding is
+    restricted to the labels its matched perceptions use only when its score
+    reaches the case's best; exact ties keep the least restricted binding.
+    """
+    bindings: dict[frozenset[int], list[tuple[tuple[str, str], ...]]] = {}
+    for binding, matched in alts:
+        bindings.setdefault(matched, []).append(binding)
+    # every case below the arc shares the branch down to it
+    path = tree.paths[next(iter(arc.below))]
+    least: dict[frozenset[int], tuple[tuple[str, str], ...]] = {}
 
-    def update_case(self, cid: str, alts: list[_Alt], labels_at: tuple[frozenset[str], ...]):
-        case = self.tree.cases[cid]
-        weights = case.weights
-        total = case.total_weight
-        pos_index = self.position_index[cid]
-        best = (self.score[cid], self.sub[cid])
-        for binding, matched in alts:
-            orig = sorted(pos_index[p] for p in matched)
+    def least_restricted(matched: frozenset[int]) -> tuple[tuple[str, str], ...]:
+        if matched not in least:
+            used = set().union(*(path[p].node.generic_labels for p in matched))
+            least[matched] = min(tuple(pair for pair in binding if pair[0] in used)
+                                 for binding in bindings[matched])
+        return least[matched]
+
+    for cid in arc.below:
+        case = tree.cases[cid]
+        order, weights, total = tree.order[cid], case.weights, case.total_weight
+        score, pairs = best[cid]
+        for matched in bindings:
             w = 0.0
-            for i in orig:
+            for i in sorted(order[p] for p in matched):
                 w += weights[i]
-            value = partial_score(w, len(matched), total, self.target_size, self.alpha)
-            if value > best[0]:
-                best = (value, self._restricted(binding, matched, labels_at))
-            elif value == best[0]:
-                sub = self._restricted(binding, matched, labels_at)
-                if sub < best[1]:
-                    best = (value, sub)
-        self.score[cid], self.sub[cid] = best
+            value = partial_score(w, len(matched), total, target_size, alpha)
+            if value > score:
+                score, pairs = value, least_restricted(matched)
+            elif value == score:
+                pairs = min(pairs, least_restricted(matched))
+        best[cid] = (score, pairs)
 
-    @staticmethod
-    def _restricted(binding, matched, labels_at) -> Substitution:
-        used: set[str] = set()
-        for p in matched:
-            used.update(labels_at[p])
-        return Substitution(tuple((l, c) for l, c in binding if l in used))
 
-    def result(self, tests_used: int, elapsed_us: int, pruned_score: str) -> RetrievalResult:
-        per_case = {}
-        for cid in self.tree.cases:
-            score = self.score[cid]
-            if self.pruned[cid] and pruned_score == "zero":
-                score = 0.0
-            per_case[cid] = CaseOutcome(
-                score=score,
-                scanned=self.scanned[cid],
-                pruned=self.pruned[cid],
-                evaluated=True,
-                substitution=self.sub[cid],
-            )
+def scan_tree(tree: CaseTree, oracle: TargetOracle,
+              budget: ScanBudget = UNBOUNDED,
+              params: SimilarityParams = DEFAULT_PARAMS,
+              prune: bool = True,
+              cancel=None) -> RetrievalResult:
+    """Breadth-first anytime retrieval over the case tree.
+
+    Returns the best case under the anytime score together with every case's
+    (score, scanned count, pruned flag). Pruned cases keep their frozen score
+    in the final ranking.
+    """
+    if oracle.size < 1:
+        raise ValueError("cannot scan against an empty target")
+
+    start = time.perf_counter()
+    limit = budget.max_comparisons if budget.kind == "comparisons" else None
+    deadline_at = start + budget.seconds if budget.kind == "deadline" else None
+    # per case: best score with its restricted binding pairs, tests scanned, pruned
+    best = dict.fromkeys(tree.cases, (0.0, ()))
+    scanned = dict.fromkeys(tree.cases, 0)
+    pruned: set[str] = set()
+    tests_used = 0
+
+    def interrupted() -> bool:
+        return ((deadline_at is not None and time.perf_counter() >= deadline_at)
+                or (cancel is not None and cancel.is_set()))
+
+    def result() -> RetrievalResult:
+        per_case = {
+            cid: CaseOutcome(score, scanned[cid], cid in pruned, True, Substitution(pairs))
+            for cid, (score, pairs) in best.items()
+        }
         best_id, best_score, best_sub = _argmax(per_case, require_evaluated=False)
         return RetrievalResult(
             best_case=best_id,
@@ -426,84 +447,52 @@ class _ScanState:
             substitution=best_sub,
             per_case=per_case,
             tests_used=tests_used,
-            elapsed_us=elapsed_us,
+            elapsed_us=int((time.perf_counter() - start) * 1_000_000),
         )
 
-
-def scan_tree(tree: CaseTree, oracle: TargetOracle,
-              budget: ScanBudget = UNBOUNDED,
-              params: SimilarityParams = DEFAULT_PARAMS,
-              prune: bool = True,
-              pruned_score: str = "frozen",
-              cancel=None) -> RetrievalResult:
-    """Breadth-first anytime retrieval over the case tree.
-
-    Returns the best case under the anytime score together with every case's
-    (score, scanned count, pruned flag). Pruned cases keep their frozen score
-    in the final ranking unless ``pruned_score`` is "zero".
-    """
-    if pruned_score not in ("frozen", "zero"):
-        raise ValueError(f"pruned_score must be 'frozen' or 'zero', got {pruned_score!r}")
-    if oracle.size < 1:
-        raise ValueError("cannot scan against an empty target")
-
-    start = time.perf_counter()
-    state = _ScanState(tree, oracle.size, params.alpha)
-    tests_used = 0
-    deadline_at = start + budget.seconds if budget.kind == "deadline" else None
-
     root_alts: list[_Alt] = [((), frozenset())]
-    queue: deque[tuple[TreeNode, list[_Alt], tuple[frozenset[str], ...]]] = deque(
-        (node, root_alts, ()) for node in tree.root.nodes
+    queue: deque[tuple[TreeNode, list[_Alt]]] = deque(
+        (node, root_alts) for node in tree.root.nodes
     )
-
-    def make_result() -> RetrievalResult:
-        elapsed = int((time.perf_counter() - start) * 1_000_000)
-        return state.result(tests_used, elapsed, pruned_score)
-
     while queue:
-        node, alts, labels_at = queue.popleft()
-        if deadline_at is not None and time.perf_counter() >= deadline_at:
-            return make_result()
-        if cancel is not None and cancel.is_set():
-            return make_result()
-        child_labels = labels_at + (node.generic_labels,)
+        node, alts = queue.popleft()
         for arc in node.arcs:
-            if budget.kind == "comparisons" and tests_used + 1 > budget.max_comparisons:
-                return make_result()
+            if tests_used == limit or interrupted():
+                return result()
             tests_used += 1
             try:
                 completions = oracle.completions(node.predicate, node.values, arc.test)
             except Exception as exc:  # surface with partial results attached
                 raise RetrievalError(
                     f"oracle failed at {node.label()}=[{arc.test}]: {exc}",
-                    partial=make_result(),
+                    partial=result(),
                 ) from exc
 
             new_alts: list[_Alt] = list(alts)
-            validated = False
             for binding, matched in alts:
+                if interrupted():
+                    return result()
                 for completion in completions:
                     merged = _merge(binding, completion)
                     if merged is not None:
-                        validated = True
                         new_alts.append((merged, matched | {node.depth}))
 
-            if not validated and prune:
-                for cid in arc.below:
-                    if not state.pruned[cid]:
-                        state.scanned[cid] += 1
-                        state.pruned[cid] = True
-                continue
-
-            child_alts = _dominance_filter(new_alts) if validated else list(alts)
+            contradicted = len(new_alts) == len(alts)  # no alternative satisfies the test
+            if contradicted:
+                child_alts = alts
+            else:
+                child_alts = _dominance_filter(new_alts, interrupted)
+                if child_alts is None:
+                    return result()
+                _update_scores(tree, arc, child_alts, best, oracle.size, params.alpha)
             for cid in arc.below:
-                state.scanned[cid] += 1
-                state.update_case(cid, child_alts, child_labels)
-            for child in arc.child.nodes:
-                queue.append((child, child_alts, child_labels))
+                scanned[cid] += 1
+            if contradicted and prune:
+                pruned.update(arc.below)
+            else:
+                queue.extend((child, child_alts) for child in arc.child.nodes)
 
-    return make_result()
+    return result()
 
 
 # ---------------------------------------------------------------------------

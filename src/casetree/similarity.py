@@ -8,9 +8,10 @@ where T is the target's perception count and m the number of matched source
 perceptions. The first factor rewards covering the source's relevant
 perceptions; the second penalizes leaving parts of the target unexplained,
 scaled by ``alpha`` in [0, 1]. The offline score maximizes over injective
-agent bindings; the anytime score evaluates whatever has been matched at an
-interruption point, so it starts at 0 with nothing scanned and converges to
-the offline value once the scan completes un-pruned.
+agent bindings; the anytime score, which ``retrieval.scan_tree`` keeps for
+every case, evaluates whatever has been matched at an interruption point, so
+it starts at 0 with nothing scanned and converges to the offline value once
+the scan completes un-pruned.
 """
 
 from __future__ import annotations
@@ -43,31 +44,6 @@ def partial_score(matched_weight: float, matched_count: int, total_weight: float
     return (matched_weight / total_weight) * coverage
 
 
-@dataclass(frozen=True)
-class MatchState:
-    """Progress of one source case during a scan.
-
-    ``matched`` and ``scanned`` hold indices into the source's perceptions,
-    with matched a subset of scanned. Matched instantiations are pairwise
-    distinct members of the target, so their count can never exceed the
-    target's size; states violating that are rejected.
-    """
-
-    source_id: str
-    matched: frozenset[int]
-    scanned: frozenset[int]
-    target_size: int
-
-    def __post_init__(self):
-        if not self.matched <= self.scanned:
-            raise ValueError(f"{self.source_id}: matched perceptions must have been scanned")
-        if len(self.matched) > self.target_size:
-            raise ValueError(
-                f"{self.source_id}: {len(self.matched)} matches cannot fit a "
-                f"target of size {self.target_size}"
-            )
-
-
 def scored_unify(source: GenericCase, target: TargetCase,
                  params: SimilarityParams = DEFAULT_PARAMS
                  ) -> tuple[float, Substitution, frozenset[int]]:
@@ -93,16 +69,3 @@ def similarity(source: GenericCase, target: TargetCase,
                params: SimilarityParams = DEFAULT_PARAMS) -> float:
     """Offline similarity of a stored case to the current situation, in [0, 1]."""
     return scored_unify(source, target, params)[0]
-
-
-def anytime_similarity(state: MatchState, weights: tuple[float, ...],
-                       params: SimilarityParams = DEFAULT_PARAMS) -> float:
-    """Score the partial evidence accumulated so far, in [0, 1].
-
-    With nothing matched this is 0; with the whole source scanned and the
-    best binding applied it equals ``similarity``.
-    """
-    total = sum(weights)
-    matched_weight = sum(weights[i] for i in state.matched)
-    return partial_score(matched_weight, len(state.matched), total,
-                         state.target_size, params.alpha)

@@ -73,6 +73,16 @@ class TestParseCase:
         assert priority2 == priority
 
 
+    @pytest.mark.parametrize("markup", ["a&b", "a<b", "a>b", 'a"b', '&amp;<c d="e"/>'])
+    def test_markup_in_ids_and_actions_round_trips(self, three_case_base, small_ctx, markup):
+        cases, priority = three_case_base
+        marked = [ct.GenericCase(c.id + markup, c.perceptions, c.weights, markup + c.action)
+                  for c in cases]
+        text = ct.serialize_case_base(marked, priority, small_ctx)
+        again, _ = ct.parse_case_base(text, small_ctx)
+        assert again == marked
+
+
 class TestUnify:
     def test_full_match(self, case1, exact_case1_target):
         sub, matched = ct.unify(case1, exact_case1_target)

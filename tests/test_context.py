@@ -62,6 +62,12 @@ class TestParseContext:
         for ctx in (small_ctx, football_ctx):
             assert ct.parse_context(ct.serialize_context(ctx)) == ctx
 
+    def test_markup_in_names_round_trips(self):
+        domain = ct.qualitative('d&<>"', ("a&b", "c<d", 'e>"f'))
+        schema = ct.PredicateSchema('p&"', (("X<1", "Agent"),), "Y>&", domain)
+        ctx = ct.Context(predicates={schema.name: schema}, domains={domain.domain: domain})
+        assert ct.parse_context(ct.serialize_context(ctx)) == ctx
+
     def test_double_round_trip_is_stable(self, football_ctx):
         once = ct.serialize_context(football_ctx)
         twice = ct.serialize_context(ct.parse_context(once))

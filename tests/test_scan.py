@@ -130,16 +130,6 @@ class TestScanTree:
             "A": "Agent.1", "B": "Agent.2",
         }
 
-    def test_pruned_score_zero_mode(self, three_case_base, exact_case1_target):
-        # contradict only case2's root arc
-        tree, oracle = tree_and_oracle(three_case_base, exact_case1_target)
-        frozen = ct.scan_tree(tree, oracle, prune=True)
-        zeroed = ct.scan_tree(tree, oracle, prune=True, pruned_score="zero")
-        assert frozen.per_case["case2"].pruned
-        assert zeroed.per_case["case2"].score == 0.0
-        with pytest.raises(ValueError):
-            ct.scan_tree(tree, oracle, pruned_score="maybe")
-
     def test_deterministic_results(self, three_case_base, exact_case1_target):
         tree, oracle = tree_and_oracle(three_case_base, exact_case1_target)
         a = ct.scan_tree(tree, oracle, ct.ScanBudget.comparisons(4))
@@ -150,13 +140,26 @@ class TestScanTree:
         with pytest.raises(ValueError):
             ct.scan_tree(three_tree, ct.TargetOracle(ct.TargetCase(perceptions=())))
 
-    def test_cancellation_observed_at_node_boundary(self, three_case_base, exact_case1_target):
+    def test_cancellation_observed_before_each_test(self, three_case_base, exact_case1_target):
         tree, oracle = tree_and_oracle(three_case_base, exact_case1_target)
         cancel = threading.Event()
         cancel.set()
         r = ct.scan_tree(tree, oracle, cancel=cancel)
         assert r.tests_used == 0
         assert all(oc.score == 0.0 for oc in r.per_case.values())
+
+        # cancelled during the first of the root node's two tests: the
+        # second is never asked, and the interrupted arc changes no case
+        class CancellingOracle(ct.TargetOracle):
+            def completions(self, name, values, desired):
+                cancel.set()
+                return super().completions(name, values, desired)
+
+        cancel.clear()
+        r = ct.scan_tree(tree, CancellingOracle(exact_case1_target), cancel=cancel)
+        assert len(tree.root.nodes[0].arcs) == 2
+        assert r.tests_used == 1
+        assert all(oc.scanned == 0 and oc.score == 0.0 for oc in r.per_case.values())
 
     def test_deadline_budget_stops_early(self, three_case_base, exact_case1_target):
         cases, priority = three_case_base
@@ -170,6 +173,10 @@ class TestScanTree:
         oracle = SlowOracle(exact_case1_target)
         r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(0.006))
         assert r.tests_used < tree.arc_count()
+        # a deadline that passes inside the first test stops the scan there
+        r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(0.002))
+        assert r.tests_used == 1
+        assert all(oc.scanned == 0 for oc in r.per_case.values())
         generous = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(10.0), prune=False)
         assert generous.tests_used == tree.arc_count()
 
@@ -227,20 +234,33 @@ class TestScanBudget:
 
 class TestScanLinear:
     def test_unbounded_equivalence_random(self):
+        # alpha 0 and zero-weight perceptions make exact score ties common, so
+        # agreeing substitutions pin the tie rule: the least restricted binding
         for seed in range(30):
             base = random_base(seed, 1 + seed % 20)
             target = random_target(seed + 111)
             if not base or not len(target):
                 continue
-            tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
+            zeroed = [
+                ct.GenericCase(c.id, c.perceptions,
+                               tuple(0.0 if i % 2 else w for i, w in enumerate(c.weights)),
+                               c.action)
+                for c in base
+            ]
             oracle = ct.TargetOracle(target)
-            rt = ct.scan_tree(tree, oracle, prune=False)
-            rl = ct.scan_linear(base, oracle)
-            assert rt.best_case == rl.best_case, seed
-            for cid in rt.per_case:
-                assert rt.per_case[cid].score == pytest.approx(
-                    rl.per_case[cid].score, abs=1e-9
-                ), (seed, cid)
+            for cases in (base, zeroed):
+                tree = ct.build_tree(cases, ct.FOOTBALL_PRIORITY)
+                for alpha in (0.5, 0.0):
+                    params = ct.SimilarityParams(alpha)
+                    rt = ct.scan_tree(tree, oracle, params=params, prune=False)
+                    rl = ct.scan_linear(cases, oracle, params=params)
+                    assert rt.best_case == rl.best_case, (seed, alpha)
+                    for cid in rt.per_case:
+                        assert rt.per_case[cid].score == pytest.approx(
+                            rl.per_case[cid].score, abs=1e-9
+                        ), (seed, alpha, cid)
+                        assert (rt.per_case[cid].substitution
+                                == rl.per_case[cid].substitution), (seed, alpha, cid)
 
     def test_budget_zero_leaves_everything_unevaluated(self, three_case_base, exact_case1_target):
         cases, _ = three_case_base

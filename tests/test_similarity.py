@@ -60,32 +60,10 @@ class TestOfflineSimilarity:
                     assert lo <= hi + 1e-12
 
 
-class TestAnytimeSimilarity:
-    def test_hand_value_one_matched(self, case1):
-        state = ct.MatchState("case1", matched=frozenset({0}),
-                              scanned=frozenset({0}), target_size=3)
-        got = ct.anytime_similarity(state, case1.weights, ct.SimilarityParams(0.5))
-        # (0.3 / 1.45) * (1 - 0.5 * 2/3)
-        assert got == pytest.approx(0.137931, abs=1e-6)
-
-    def test_nothing_matched_scores_zero(self, case1):
-        state = ct.MatchState("case1", frozenset(), frozenset({0, 1}), target_size=3)
-        assert ct.anytime_similarity(state, case1.weights) == 0.0
-
-    def test_full_scan_equals_offline(self, case1, exact_case1_target):
-        state = ct.MatchState("case1", frozenset({0, 1, 2}), frozenset({0, 1, 2}),
-                              target_size=3)
-        offline = ct.similarity(case1, exact_case1_target)
-        assert ct.anytime_similarity(state, case1.weights) == pytest.approx(offline, abs=1e-12)
-
-    def test_matched_must_be_scanned(self):
+class TestPartialScore:
+    def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
-            ct.MatchState("c", matched=frozenset({1}), scanned=frozenset({0}), target_size=2)
-
-    def test_empty_target_rejected(self, case1):
-        state = ct.MatchState("case1", frozenset(), frozenset(), target_size=0)
-        with pytest.raises(ValueError):
-            ct.anytime_similarity(state, case1.weights)
+            partial_score(0.0, 0, 1.45, 0, 0.5)
 
     @given(
         weights=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=8),
@@ -94,25 +72,20 @@ class TestAnytimeSimilarity:
     )
     @settings(max_examples=200, deadline=None)
     def test_bounds_and_growth(self, weights, alpha, data):
-        weights = tuple(weights)
         n = len(weights)
-        scanned = frozenset(range(n))
         matched = data.draw(st.frozensets(st.integers(0, n - 1)))
         # a target can never hold fewer perceptions than were matched in it
         target_size = data.draw(st.integers(min_value=max(1, n), max_value=40))
-        params = ct.SimilarityParams(alpha)
-        state = ct.MatchState("c", matched, scanned, target_size)
-        score = ct.anytime_similarity(state, weights, params)
-        assert 0.0 <= score <= 1.0
+
+        def score(indices):
+            return partial_score(sum(weights[i] for i in indices), len(indices),
+                                 sum(weights), target_size, alpha)
+
+        assert 0.0 <= score(matched) <= 1.0
         # growing the matched set never lowers the score
         missing = [i for i in range(n) if i not in matched]
         if missing:
-            grown = ct.MatchState("c", matched | {missing[0]}, scanned, target_size)
-            assert ct.anytime_similarity(grown, weights, params) >= score - 1e-12
-
-    def test_overfull_match_state_rejected(self):
-        with pytest.raises(ValueError):
-            ct.MatchState("c", frozenset({0, 1}), frozenset({0, 1}), target_size=1)
+            assert score(matched | {missing[0]}) >= score(matched) - 1e-12
 
     @given(alpha=st.floats(min_value=0.0, max_value=1.0))
     def test_alpha_zero_second_factor_is_exactly_one(self, alpha):

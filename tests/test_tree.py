@@ -97,18 +97,18 @@ class TestCounts:
     def test_three_case_counts(self, three_case_base):
         cases, priority = three_case_base
         tree = ct.build_tree(cases, priority)
-        assert ct.perception_node_count(tree) == 5
+        assert tree.node_count == 5
         assert ct.linear_perception_count(cases) == 8
 
     def test_empty_counts(self):
         assert ct.linear_perception_count([]) == 0
-        assert ct.perception_node_count(ct.build_tree([], ())) == 0
+        assert ct.build_tree([], ()).node_count == 0
 
     def test_single_case_counts_are_equal(self, three_case_base):
         cases, priority = three_case_base
         tree = ct.build_tree(cases[:1], priority)
         k = len(cases[0].perceptions)
-        assert ct.perception_node_count(tree) == k
+        assert tree.node_count == k
         assert ct.linear_perception_count(cases[:1]) == k
 
 
@@ -136,7 +136,7 @@ class TestTreeValidity:
                 continue
             tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
             lin = ct.linear_perception_count(base)
-            assert ct.perception_node_count(tree) <= lin
+            assert tree.node_count <= lin
             # strict when at least two cases share their first perception
             first = {}
             shared = False
@@ -149,4 +149,4 @@ class TestTreeValidity:
                     break
                 first[key] = case.id
             if shared:
-                assert ct.perception_node_count(tree) < lin
+                assert tree.node_count < lin
