@@ -1,7 +1,9 @@
 """Reproducing the retrieval-quality experiments
 =================================================
 
-Three experiments, each emitted as a CSV next to this script:
+Three experiments, each written as a CSV into ``demos/out/``, or into the
+directory given as the only argument
+(``python3 demos/04_benchmarks.py OUT_DIR``):
 
 * how the alpha parameter trades the two quality ratios against each
   other at a fixed acceptance threshold;
@@ -15,12 +17,13 @@ names relative to the usual convention; see the evaluation module notes.
 """
 
 import random
+import sys
 from pathlib import Path
 
 import casetree as ct
 
-OUT = Path(__file__).parent / "out"
-OUT.mkdir(exist_ok=True)
+OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
+OUT.mkdir(parents=True, exist_ok=True)
 
 # %% A 50-case base sampled from seeded situations, five benchmark
 # targets, and expert sets: a case is expert-similar to a target when its

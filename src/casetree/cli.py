@@ -75,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ret = sub.add_parser("retrieve", help="run one retrieval against a world")
     common(p_ret, world=True)
     p_ret.add_argument("--alpha", type=float, default=0.5)
-    p_ret.add_argument("--budget", type=int, default=None,
+    limit = p_ret.add_mutually_exclusive_group()
+    limit.add_argument("--budget", type=int, default=None,
                        help="comparison budget (default unbounded)")
-    p_ret.add_argument("--deadline-ms", type=float, default=None,
+    limit.add_argument("--deadline-ms", type=float, default=None,
                        help="wall-clock budget in milliseconds instead of comparisons")
     p_ret.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     p_ret.add_argument("--engine", choices=("tree", "linear"), default="tree")

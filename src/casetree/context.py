@@ -30,6 +30,7 @@ sorts are not declared in the file: they come from the built-in catalogue
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -319,9 +320,21 @@ def _parse_schema(elem, name, path, sort_table, domains) -> PredicateSchema:
         raise ContextError(str(exc), path) from None
 
 
+# characters that XML 1.0 admits nowhere, not even as character references
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def xml_attribute(value: str) -> str:
-    """Escape text for a double-quoted XML attribute value."""
-    return escape(value, {'"': "&quot;"})
+    """Escape text for a double-quoted XML attribute value.
+
+    Tab, newline and carriage return become character references, because a
+    parser normalizes them to spaces when they appear literally. Raises
+    ValueError for characters that XML 1.0 forbids.
+    """
+    bad = _XML_FORBIDDEN.search(value)
+    if bad:
+        raise ValueError(f"{value!r} holds {bad.group()!r}, which XML 1.0 forbids")
+    return escape(value, {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
 
 
 def serialize_context(ctx: Context) -> str:

@@ -325,46 +325,67 @@ def _argmax(per_case: dict[str, CaseOutcome], require_evaluated: bool):
 # ---------------------------------------------------------------------------
 # the tree scanner
 
-_Alt = tuple[tuple[tuple[str, str], ...], frozenset[int]]  # (sorted binding, matched positions)
+# (sorted binding, bitmask of the matched branch positions). Tuples of strings
+# and ints drop out of CPython's collector, so the alternatives a long scan
+# holds do not bring on full collections inside it.
+_Alt = tuple[tuple[tuple[str, str], ...], int]
 
 
-def _merge(binding: tuple[tuple[str, str], ...], completion: dict[str, str]):
-    """Extend a branch binding with one completion; None when inconsistent
-    or when injectivity would break."""
+def _merge(binding: tuple[tuple[str, str], ...], completion: tuple[tuple[str, str], ...]):
+    """Extend a branch binding with one completion's pairs; None when
+    inconsistent or when injectivity would break.
+
+    The result reuses the pair tuples of both sides, and a completion that
+    binds nothing new returns ``binding`` itself."""
     current = dict(binding)
-    for label, cid in completion.items():
+    fresh = []
+    for pair in completion:
+        label, cid = pair
         have = current.get(label)
         if have is None:
             current[label] = cid
+            fresh.append(pair)
         elif have != cid:
             return None
+    if not fresh:
+        return binding
     ids = list(current.values())
     if len(set(ids)) != len(ids):
         return None
-    return tuple(sorted(current.items()))
+    return tuple(sorted([*binding, *fresh]))
 
 
 def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
     """Drop alternatives that a less-constrained, better-matched one subsumes.
 
-    Returns None as soon as ``interrupted()`` holds before a candidate."""
-    alts = sorted(set(alts), key=lambda a: (len(a[0]), a[0], sorted(a[1])))
+    ``b`` dominates ``a`` when ``b != a`` matches a superset of ``a``'s
+    positions and binds a subset of its pairs. Kept alternatives come in
+    presorted order: most matched positions first, then fewest pairs, then
+    by (binding, matched bitmask). Returns None as soon as ``interrupted()``
+    holds before a candidate."""
+    # stable passes with int keys, so that sorting allocates no key tuples
+    alts = sorted(set(alts))
+    alts.sort(key=lambda a: len(a[0]))
+    alts.sort(key=lambda a: -a[1].bit_count())
+    # every dominator sorts before what it dominates, and dominance is
+    # transitive, so testing against the alternatives kept so far suffices
+    bits: dict[tuple[str, str], int] = {}  # one bit per distinct binding pair
     kept: list[_Alt] = []
+    kept_matched: list[int] = []
+    kept_pairs: list[int] = []
     for a in alts:
         if interrupted():
             return None
-        a_map, a_matched = dict(a[0]), a[1]
-        dominated = False
-        for b in alts:
-            if b == a:
-                continue
-            b_map, b_matched = dict(b[0]), b[1]
-            if b_matched >= a_matched and all(a_map.get(l) == c for l, c in b_map.items()):
-                if b_matched > a_matched or len(b_map) < len(a_map):
-                    dominated = True
-                    break
-        if not dominated:
+        matched, pairs = a[1], 0
+        for pair in a[0]:
+            pairs |= bits.setdefault(pair, 1 << len(bits))
+        for m, p in zip(kept_matched, kept_pairs):
+            if m & matched == matched and p & pairs == p:
+                break
+        else:
             kept.append(a)
+            kept_matched.append(matched)
+            kept_pairs.append(pairs)
     return kept
 
 
@@ -378,16 +399,18 @@ def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
     restricted to the labels its matched perceptions use only when its score
     reaches the case's best; exact ties keep the least restricted binding.
     """
-    bindings: dict[frozenset[int], list[tuple[tuple[str, str], ...]]] = {}
+    bindings: dict[int, list[tuple[tuple[str, str], ...]]] = {}
     for binding, matched in alts:
         bindings.setdefault(matched, []).append(binding)
+    positions = {matched: [p for p in range(matched.bit_length()) if matched >> p & 1]
+                 for matched in bindings}
     # every case below the arc shares the branch down to it
     path = tree.paths[next(iter(arc.below))]
-    least: dict[frozenset[int], tuple[tuple[str, str], ...]] = {}
+    least: dict[int, tuple[tuple[str, str], ...]] = {}
 
-    def least_restricted(matched: frozenset[int]) -> tuple[tuple[str, str], ...]:
+    def least_restricted(matched: int) -> tuple[tuple[str, str], ...]:
         if matched not in least:
-            used = set().union(*(path[p].node.generic_labels for p in matched))
+            used = set().union(*(path[p].node.generic_labels for p in positions[matched]))
             least[matched] = min(tuple(pair for pair in binding if pair[0] in used)
                                  for binding in bindings[matched])
         return least[matched]
@@ -396,11 +419,11 @@ def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
         case = tree.cases[cid]
         order, weights, total = tree.order[cid], case.weights, case.total_weight
         score, pairs = best[cid]
-        for matched in bindings:
+        for matched, matched_at in positions.items():
             w = 0.0
-            for i in sorted(order[p] for p in matched):
+            for i in sorted(order[p] for p in matched_at):
                 w += weights[i]
-            value = partial_score(w, len(matched), total, target_size, alpha)
+            value = partial_score(w, len(matched_at), total, target_size, alpha)
             if value > score:
                 score, pairs = value, least_restricted(matched)
             elif value == score:
@@ -450,7 +473,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             elapsed_us=int((time.perf_counter() - start) * 1_000_000),
         )
 
-    root_alts: list[_Alt] = [((), frozenset())]
+    root_alts: list[_Alt] = [((), 0)]
     queue: deque[tuple[TreeNode, list[_Alt]]] = deque(
         (node, root_alts) for node in tree.root.nodes
     )
@@ -467,15 +490,17 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                     f"oracle failed at {node.label()}=[{arc.test}]: {exc}",
                     partial=result(),
                 ) from exc
+            completions = [tuple(completion.items()) for completion in completions]
 
             new_alts: list[_Alt] = list(alts)
+            depth_bit = 1 << node.depth
             for binding, matched in alts:
                 if interrupted():
                     return result()
                 for completion in completions:
                     merged = _merge(binding, completion)
                     if merged is not None:
-                        new_alts.append((merged, matched | {node.depth}))
+                        new_alts.append((merged, matched | depth_bit))
 
             contradicted = len(new_alts) == len(alts)  # no alternative satisfies the test
             if contradicted:

@@ -70,6 +70,12 @@ def brute_force_similarity(source, target, alpha):
     return best
 
 
+def xml_text_ok(text: str) -> bool:
+    """Whether every character of ``text`` is a Char of the XML 1.0 grammar."""
+    return all(c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+               or c >= "\U00010000" for c in text)
+
+
 # ---------------------------------------------------------------------------
 # seeded world-grounded base generation
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from support import brute_force_best_weight, random_base, random_target
+from support import brute_force_best_weight, random_base, random_target, xml_text_ok
 
 
 def target(*perceptions: ct.Perception) -> ct.TargetCase:
@@ -73,7 +73,8 @@ class TestParseCase:
         assert priority2 == priority
 
 
-    @pytest.mark.parametrize("markup", ["a&b", "a<b", "a>b", 'a"b', '&amp;<c d="e"/>'])
+    @pytest.mark.parametrize("markup", ["a&b", "a<b", "a>b", 'a"b', '&amp;<c d="e"/>',
+                                        "a\tb", "a\nb", "a\rb", "a\r\nb", " a  "])
     def test_markup_in_ids_and_actions_round_trips(self, three_case_base, small_ctx, markup):
         cases, priority = three_case_base
         marked = [ct.GenericCase(c.id + markup, c.perceptions, c.weights, markup + c.action)
@@ -81,6 +82,27 @@ class TestParseCase:
         text = ct.serialize_case_base(marked, priority, small_ctx)
         again, _ = ct.parse_case_base(text, small_ctx)
         assert again == marked
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\ufffe"])
+    def test_character_xml_forbids_is_rejected(self, three_case_base, small_ctx, char):
+        cases, priority = three_case_base
+        bad = [ct.GenericCase("a" + char, c.perceptions, c.weights, c.action) for c in cases[:1]]
+        with pytest.raises(ValueError):
+            ct.serialize_case_base(bad, priority, small_ctx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case_id=st.text(min_size=1), action=st.text())
+    def test_arbitrary_ids_and_actions_round_trip(self, three_case_base, small_ctx,
+                                                 case_id, action):
+        cases, priority = three_case_base
+        case = ct.GenericCase(case_id, cases[0].perceptions, cases[0].weights, action)
+        if not xml_text_ok(case_id + action):
+            with pytest.raises(ValueError):
+                ct.serialize_case_base([case], priority, small_ctx)
+            return
+        again, _ = ct.parse_case_base(ct.serialize_case_base([case], priority, small_ctx),
+                                      small_ctx)
+        assert again == [case]
 
 
 class TestUnify:

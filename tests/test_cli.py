@@ -122,6 +122,16 @@ class TestRetrieve:
         assert code == 0
         assert "best=" in capsys.readouterr().out
 
+    def test_budget_and_deadline_are_exclusive(self, paths, capsys):
+        code = main([
+            "retrieve", "--ctx", paths["ctx"], "--base", paths["base"],
+            "--world", paths["world"], "--deadline-ms", "50", "--budget", "3",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
 
 class TestBench:
     def test_memory_suite(self, paths, capsys):

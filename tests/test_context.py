@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import casetree as ct
 from casetree.context import DISTANCE_LABELS
+from support import xml_text_ok
 
 
 class TestParseContext:
@@ -66,6 +67,19 @@ class TestParseContext:
         domain = ct.qualitative('d&<>"', ("a&b", "c<d", 'e>"f'))
         schema = ct.PredicateSchema('p&"', (("X<1", "Agent"),), "Y>&", domain)
         ctx = ct.Context(predicates={schema.name: schema}, domains={domain.domain: domain})
+        assert ct.parse_context(ct.serialize_context(ctx)) == ctx
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text(), st.text(), st.text())
+    def test_arbitrary_names_round_trip(self, predicate, variable, choice, domain):
+        assume(variable != choice and domain != "Boolean")
+        values = ct.qualitative(domain, ("a", "b"))
+        schema = ct.PredicateSchema(predicate, ((variable, "Agent"),), choice, values)
+        ctx = ct.Context(predicates={predicate: schema}, domains={domain: values})
+        if not xml_text_ok(predicate + variable + choice + domain):
+            with pytest.raises(ValueError):
+                ct.serialize_context(ctx)
+            return
         assert ct.parse_context(ct.serialize_context(ctx)) == ctx
 
     def test_double_round_trip_is_stable(self, football_ctx):

@@ -11,17 +11,27 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
+CSVS = ("alpha_sweep.csv", "budget_sweep.csv", "memory_curve.csv")
 
 
-# 04_benchmarks.py is left out: it rewrites the CSVs under demos/out/
+def run_demo(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(DEMOS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("name", [
     "01_contexts_and_cases.py",
     "02_tree_compilation.py",
     "03_anytime_retrieval.py",
 ])
 def test_demo_exits_cleanly(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_demo(name)
+
+
+def test_benchmark_demo_reproduces_committed_csvs(tmp_path):
+    run_demo("04_benchmarks.py", str(tmp_path))
+    for name in CSVS:
+        assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name

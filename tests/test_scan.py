@@ -5,9 +5,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from support import random_base, random_target
+from casetree.retrieval import _dominance_filter
+from support import brute_force_similarity, random_base, random_target
 
 
 @pytest.fixture()
@@ -213,6 +215,85 @@ class TestScanTree:
             concurrent = list(pool.map(run, targets))
         sequential = [run(t) for t in targets]
         assert concurrent == sequential
+
+    def test_unbounded_equals_brute_force_at_seven_agents(self):
+        # whole-pitch 8-player targets perceive 7 concrete agents, beyond the
+        # at most 5 of the 6-player fixtures
+        for seed in range(1, 9):
+            base = random_base(seed, 12, max_players=8, max_perceptions=4)
+            world = ct.generate_world(1000 + seed, 8)
+            target = ct.elaborate(world, world.self_id, radius=120)
+            agents = {v.name for p in target.perceptions for v in p.values
+                      if v.kind == "concrete"}
+            assert len(agents) == 7, seed
+            r = ct.scan_tree(ct.build_tree(base, ct.FOOTBALL_PRIORITY),
+                             ct.TargetOracle(target), prune=False)
+            for case in base:
+                assert r.per_case[case.id].score == pytest.approx(
+                    brute_force_similarity(case, target, 0.5), abs=1e-9), (seed, case.id)
+
+
+LABELS = ("A", "B", "C", "D")
+AGENTS = ("Agent.1", "Agent.2", "Agent.3", "Agent.4")
+
+
+@st.composite
+def alternative_lists(draw):
+    """(sorted binding, matched-position bitmask) lists with repeats, shared
+    matched sets and nested bindings."""
+    bindings = st.dictionaries(st.sampled_from(LABELS), st.sampled_from(AGENTS))
+    positions = st.integers(0, 0b11111)
+    alts = [(tuple(sorted(b.items())), m)
+            for b, m in draw(st.lists(st.tuples(bindings, positions), max_size=10))]
+    for _ in range(draw(st.integers(0, 10)) if alts else 0):
+        binding, matched = draw(st.sampled_from(alts))
+        kind = draw(st.sampled_from(("repeat", "fewer pairs", "more positions",
+                                     "same positions")))
+        if kind == "fewer pairs":
+            binding = tuple(pair for pair in binding if draw(st.booleans()))
+        elif kind == "more positions":
+            matched = matched | draw(positions)
+        elif kind == "same positions":
+            binding = tuple(sorted(draw(bindings).items()))
+        alts.append((binding, matched))
+    return draw(st.permutations(alts))
+
+
+def matched_positions(mask):
+    return {p for p in range(5) if mask >> p & 1}
+
+
+def reference_filter(alts):
+    """Quadratic definition: keep each distinct alternative that no other one
+    dominates (a superset of its matched positions, a subset of its pairs)."""
+    unique = set(alts)
+    kept = [a for a in unique
+            if not any(b != a and matched_positions(b[1]) >= matched_positions(a[1])
+                       and set(b[0]) <= set(a[0]) for b in unique)]
+    return sorted(kept, key=lambda a: (-len(matched_positions(a[1])), len(a[0]), a[0], a[1]))
+
+
+class TestDominanceFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(alternative_lists())
+    def test_matches_quadratic_reference(self, alts):
+        assert _dominance_filter(alts, lambda: False) == reference_filter(alts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alternative_lists(), st.integers(1, 25))
+    def test_interrupt_before_candidate_k_returns_none(self, alts, k):
+        calls = 0
+
+        def interrupted():
+            nonlocal calls
+            calls += 1
+            return calls >= k
+
+        got = _dominance_filter(alts, interrupted)
+        if k <= len(set(alts)):
+            assert got is None and calls == k
+        else:
+            assert got == reference_filter(alts) and calls == len(set(alts))
 
 
 class TestScanBudget:
