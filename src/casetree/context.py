@@ -22,7 +22,11 @@ Context file format (XML, UTF-8)::
 
 Qualitative domains are declared once per document, either with a ``domain``
 element or inline through a ``values`` attribute on the first ``choice`` that
-uses them; ``serialize_context`` always emits the ``domain`` form. Object
+uses them; ``serialize_context`` always emits the ``domain`` form. Because
+labels are joined with commas and stripped, and case documents read the
+choices ``true`` and ``false`` as Booleans, no domain may be named
+``Boolean`` and every label must be non-empty, free of commas and of
+surrounding whitespace, and neither ``true`` nor ``false``. Object
 sorts are not declared in the file: they come from the built-in catalogue
 (see ``football_sorts``), a tree rooted at DomainObject.
 """
@@ -63,10 +67,20 @@ class ValueSort:
         if self.kind not in ("boolean", "qualitative"):
             raise ValueError(f"unknown value-sort kind {self.kind!r}")
         if self.kind == "qualitative":
+            # the document formats cannot carry these (see the module docstring)
+            if self.domain == "Boolean":
+                raise ValueError("a qualitative domain cannot be named 'Boolean'")
             if not self.labels:
                 raise ValueError(f"qualitative domain {self.domain!r} has no labels")
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError(f"qualitative domain {self.domain!r} has duplicate labels")
+            for label in self.labels:
+                if (not label or "," in label or label != label.strip()
+                        or label in ("true", "false")):
+                    raise ValueError(
+                        f"qualitative domain {self.domain!r} has label {label!r}: labels "
+                        "must be non-empty, hold no comma, have no surrounding "
+                        "whitespace, and not be 'true' or 'false'")
 
     def accepts(self, value) -> bool:
         if self.kind == "boolean":

@@ -143,11 +143,16 @@ def priority_order(case: GenericCase, priority: Sequence[str]) -> list[int]:
 
     Perceptions of the same predicate keep their declaration order.
     """
-    rank = {name: i for i, name in enumerate(priority)}
-    for p in case.perceptions:
-        if p.name not in rank:
-            raise TreeError(f"predicate {p.name!r} missing from the priority order")
-    return sorted(range(len(case.perceptions)), key=lambda i: rank[case.perceptions[i].name])
+    return _branch_order(case, {name: i for i, name in enumerate(priority)})
+
+
+def _branch_order(case: GenericCase, rank: dict[str, int]) -> list[int]:
+    """``priority_order`` against a rank already built from the priority."""
+    try:
+        ranks = [rank[p.name] for p in case.perceptions]
+    except KeyError as exc:
+        raise TreeError(f"predicate {exc.args[0]!r} missing from the priority order") from None
+    return sorted(range(len(ranks)), key=ranks.__getitem__)
 
 
 def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree:
@@ -162,6 +167,8 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
     cases: dict[str, GenericCase] = {}
     paths: dict[str, tuple[Arc, ...]] = {}
     orders: dict[str, tuple[int, ...]] = {}
+    rank = {name: i for i, name in enumerate(priority)}
+    below: dict[Arc, list[str]] = {}  # ids of the cases whose branch takes each arc
 
     for case in base:
         if case.id in cases:
@@ -169,35 +176,32 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
         cases[case.id] = case
         slot = root
         path: list[Arc] = []
-        orders[case.id] = order = tuple(priority_order(case, priority))
+        orders[case.id] = order = tuple(_branch_order(case, rank))
         for pos, idx in enumerate(order):
             p = case.perceptions[idx]
-            node = next(
-                (n for n in slot.nodes if n.predicate == p.name and n.values == p.values),
-                None,
-            )
-            if node is None:
+            for node in slot.nodes:
+                if node.predicate == p.name and node.values == p.values:
+                    break
+            else:
                 node = TreeNode(p.name, p.values, depth=pos)
                 slot.nodes.append(node)
-            arc = next((a for a in node.arcs if a.test == p.choice), None)
-            if arc is None:
+            for arc in node.arcs:
+                if arc.test == p.choice:
+                    break
+            else:
                 arc = Arc(node, p.choice)
                 node.arcs.append(arc)
+                below[arc] = []
+            below[arc].append(case.id)
             path.append(arc)
             slot = arc.child
         slot.case_ids.append(case.id)
         paths[case.id] = tuple(path)
 
-    tree = CaseTree(root=root, cases=cases, priority=tuple(priority), paths=paths,
+    for arc, ids in below.items():
+        arc.below = frozenset(ids)
+    return CaseTree(root=root, cases=cases, priority=tuple(priority), paths=paths,
                     order=orders)
-    below: dict[int, set[str]] = {}
-    for case_id, path in paths.items():
-        for arc in path:
-            below.setdefault(id(arc), set()).add(case_id)
-    for node in tree.iter_nodes():
-        for arc in node.arcs:
-            arc.below = frozenset(below.get(id(arc), ()))
-    return tree
 
 
 def linear_perception_count(base: Sequence[GenericCase]) -> int:
@@ -325,34 +329,70 @@ def _argmax(per_case: dict[str, CaseOutcome], require_evaluated: bool):
 # ---------------------------------------------------------------------------
 # the tree scanner
 
-# (sorted binding, bitmask of the matched branch positions). Tuples of strings
-# and ints drop out of CPython's collector, so the alternatives a long scan
-# holds do not bring on full collections inside it.
-_Alt = tuple[tuple[tuple[str, str], ...], int]
+# (sorted binding, bitmask of the matched branch positions, bitmask of the
+# binding's pairs). Pairs are numbered once per scan, so the pair mask is a
+# function of the binding. Tuples of strings and ints drop out of CPython's
+# collector, so the alternatives a long scan holds do not bring on full
+# collections inside it.
+_Pairs = tuple[tuple[str, str], ...]
+_Alt = tuple[_Pairs, int, int]
 
 
-def _merge(binding: tuple[tuple[str, str], ...], completion: tuple[tuple[str, str], ...]):
-    """Extend a branch binding with one completion's pairs; None when
-    inconsistent or when injectivity would break.
+class _PairNumbering:
+    """One bit per (label, id) pair, numbered as a scan first meets it."""
 
-    The result reuses the pair tuples of both sides, and a completion that
-    binds nothing new returns ``binding`` itself."""
-    current = dict(binding)
-    fresh = []
-    for pair in completion:
-        label, cid = pair
-        have = current.get(label)
-        if have is None:
-            current[label] = cid
-            fresh.append(pair)
-        elif have != cid:
+    def __init__(self):
+        self.bits: dict[tuple[str, str], int] = {}
+        # per label and per id, the mask of every pair numbered with it
+        self.with_label: dict[str, int] = {}
+        self.with_id: dict[str, int] = {}
+
+    def number(self, completions: list[dict[str, str]]) -> list[tuple[_Pairs, int, int]]:
+        """(pairs, pair mask, clash mask) per completion that binds no id
+        twice; the others extend no binding. The clash mask holds the pairs
+        that share a label or an id with one of the completion's own."""
+        bits, with_label, with_id = self.bits, self.with_label, self.with_id
+        out = []
+        for completion in completions:
+            pairs = tuple(completion.items())
+            if len(set(completion.values())) != len(pairs):
+                continue
+            mask = clash = 0
+            for pair in pairs:
+                bit = bits.get(pair)
+                if bit is None:
+                    bit = bits[pair] = 1 << len(bits)
+                    label, cid = pair
+                    with_label[label] = with_label.get(label, 0) | bit
+                    with_id[cid] = with_id.get(cid, 0) | bit
+                mask |= bit
+            for label, cid in pairs:
+                clash |= with_label[label] | with_id[cid]
+            out.append((pairs, mask, clash & ~mask))
+        return out
+
+
+def _extend(alts: list[_Alt], numbered, depth_bit: int, interrupted) -> list[_Alt] | None:
+    """``alts`` followed by every merge of one of them with one numbered
+    completion, matched at ``depth_bit`` too; None as soon as
+    ``interrupted()`` holds before an alternative.
+
+    A binding takes a completion exactly when it holds none of the
+    completion's clash pairs: it then stays injective and binds every label
+    once. A completion inside the binding adds nothing and reuses it."""
+    new_alts = list(alts)
+    for binding, matched, held in alts:
+        if interrupted():
             return None
-    if not fresh:
-        return binding
-    ids = list(current.values())
-    if len(set(ids)) != len(ids):
-        return None
-    return tuple(sorted([*binding, *fresh]))
+        matched |= depth_bit
+        for pairs, mask, clash in numbered:
+            if mask & held == mask:
+                new_alts.append((binding, matched, held))
+            elif not clash & held:
+                if mask & held:
+                    pairs = tuple(pair for pair in pairs if pair not in binding)
+                new_alts.append((tuple(sorted(binding + pairs)), matched, held | mask))
+    return new_alts
 
 
 def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
@@ -368,24 +408,30 @@ def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
     alts.sort(key=lambda a: len(a[0]))
     alts.sort(key=lambda a: -a[1].bit_count())
     # every dominator sorts before what it dominates, and dominance is
-    # transitive, so testing against the alternatives kept so far suffices
-    bits: dict[tuple[str, str], int] = {}  # one bit per distinct binding pair
+    # transitive, so testing against the alternatives kept so far suffices.
+    # A dominator binds a subset of the candidate's pairs, so only the kept
+    # entries filed under a subset of its pair mask can dominate it; there
+    # are 2^|binding| such subsets (at most 16 on every benchmark workload).
     kept: list[_Alt] = []
-    kept_matched: list[int] = []
-    kept_pairs: list[int] = []
+    # pair mask -> matched masks kept with it, as a tuple: a tuple of ints
+    # drops out of the collector, a list would not
+    index: dict[int, tuple[int, ...]] = {}
     for a in alts:
         if interrupted():
             return None
-        matched, pairs = a[1], 0
-        for pair in a[0]:
-            pairs |= bits.setdefault(pair, 1 << len(bits))
-        for m, p in zip(kept_matched, kept_pairs):
-            if m & matched == matched and p & pairs == p:
-                break
-        else:
-            kept.append(a)
-            kept_matched.append(matched)
-            kept_pairs.append(pairs)
+        _, matched, pairs = a
+        sub = pairs
+        while True:
+            for m in index.get(sub, ()):
+                if m & matched == matched:
+                    break
+            else:
+                if sub:
+                    sub = (sub - 1) & pairs
+                    continue
+                kept.append(a)
+                index[pairs] = index.get(pairs, ()) + (matched,)
+            break
     return kept
 
 
@@ -400,7 +446,7 @@ def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
     reaches the case's best; exact ties keep the least restricted binding.
     """
     bindings: dict[int, list[tuple[tuple[str, str], ...]]] = {}
-    for binding, matched in alts:
+    for binding, matched, _ in alts:
         bindings.setdefault(matched, []).append(binding)
     positions = {matched: [p for p in range(matched.bit_length()) if matched >> p & 1]
                  for matched in bindings}
@@ -473,7 +519,8 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             elapsed_us=int((time.perf_counter() - start) * 1_000_000),
         )
 
-    root_alts: list[_Alt] = [((), 0)]
+    numbering = _PairNumbering()
+    root_alts: list[_Alt] = [((), 0, 0)]
     queue: deque[tuple[TreeNode, list[_Alt]]] = deque(
         (node, root_alts) for node in tree.root.nodes
     )
@@ -490,18 +537,10 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                     f"oracle failed at {node.label()}=[{arc.test}]: {exc}",
                     partial=result(),
                 ) from exc
-            completions = [tuple(completion.items()) for completion in completions]
-
-            new_alts: list[_Alt] = list(alts)
-            depth_bit = 1 << node.depth
-            for binding, matched in alts:
-                if interrupted():
-                    return result()
-                for completion in completions:
-                    merged = _merge(binding, completion)
-                    if merged is not None:
-                        new_alts.append((merged, matched | depth_bit))
-
+            new_alts = _extend(alts, numbering.number(completions), 1 << node.depth,
+                               interrupted)
+            if new_alts is None:
+                return result()
             contradicted = len(new_alts) == len(alts)  # no alternative satisfies the test
             if contradicted:
                 child_alts = alts

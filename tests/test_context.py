@@ -82,6 +82,53 @@ class TestParseContext:
             return
         assert ct.parse_context(ct.serialize_context(ctx)) == ctx
 
+    @pytest.mark.parametrize("domain,labels", [
+        ("Boolean", ("a", "b")),
+        ("d", ("a", "")),
+        ("d", ("a,b", "c")),
+        ("d", (" a", "b")),
+        ("d", ("a", "b\n")),
+        ("d", ("true", "maybe")),
+        ("d", ("false",)),
+    ])
+    def test_domain_documents_cannot_carry_is_rejected(self, domain, labels):
+        with pytest.raises(ValueError):
+            ct.qualitative(domain, labels)
+
+    @pytest.mark.parametrize("doc", [
+        '<ctx><domain name="Boolean" values="a,b"/></ctx>',
+        '<ctx><domain name="d" values="true,maybe"/></ctx>',
+        '<ctx><predicate name="p"><choice name="C" type="d" values="maybe,false"/>'
+        '</predicate></ctx>',
+    ])
+    def test_domain_documents_cannot_carry_raises_context_error(self, doc):
+        with pytest.raises(ct.ContextError):
+            ct.parse_context(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(), st.lists(st.text(), min_size=1, max_size=4))
+    def test_arbitrary_domains_round_trip_or_are_rejected(self, domain, labels):
+        try:
+            values = ct.qualitative(domain, labels)
+        except ValueError:
+            return
+        schema = ct.PredicateSchema("p", (("X", "Agent"),), "C", values)
+        ctx = ct.Context(predicates={"p": schema}, domains={domain: values})
+        case = ct.GenericCase("c", tuple(ct.Perception("p", (ct.generic("A"),), label)
+                                         for label in labels), (1.0,) * len(labels), "a")
+        if xml_text_ok(domain + "".join(labels)):
+            assert ct.parse_context(ct.serialize_context(ctx)) == ctx
+        else:
+            with pytest.raises(ValueError):
+                ct.serialize_context(ctx)
+        # a case base writes the labels but not the domain name
+        if xml_text_ok("".join(labels)):
+            again = ct.parse_case_base(ct.serialize_case_base([case], ("p",), ctx), ctx)
+            assert again == ([case], ("p",))
+        else:
+            with pytest.raises(ValueError):
+                ct.serialize_case_base([case], ("p",), ctx)
+
     def test_double_round_trip_is_stable(self, football_ctx):
         once = ct.serialize_context(football_ctx)
         twice = ct.serialize_context(ct.parse_context(once))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.retrieval import _dominance_filter
+from casetree.retrieval import _dominance_filter, _extend, _PairNumbering
 from support import brute_force_similarity, random_base, random_target
 
 
@@ -216,6 +216,33 @@ class TestScanTree:
         sequential = [run(t) for t in targets]
         assert concurrent == sequential
 
+    def test_completion_binding_one_id_twice_never_merges(self):
+        # the target perceives markedBy(x, x): its only completion of the
+        # markedBy(?A, ?B) node binds Agent.1 to both labels
+        case = ct.GenericCase("c", (
+            ct.Perception("markedBy", (ct.generic("A"), ct.generic("B")), True),
+            ct.Perception("partner", (ct.generic("A"),), True),
+        ), (1.0, 1.0), "pass")
+        twice = ct.Perception("markedBy", (ct.concrete("Agent.1"), ct.concrete("Agent.1")), True)
+        partner = ct.Perception("partner", (ct.concrete("Agent.1"),), True)
+        tree = ct.build_tree([case], ct.FOOTBALL_PRIORITY)
+        oracle = ct.TargetOracle(ct.TargetCase((twice, partner)))
+        assert oracle.completions("markedBy", case.perceptions[0].values, True) == [
+            {"A": "Agent.1", "B": "Agent.1"}]
+        r = ct.scan_tree(tree, oracle)
+        assert r.tests_used == 1 and r.per_case["c"].pruned
+        assert r.per_case["c"].score == 0.0
+        r = ct.scan_tree(tree, oracle, prune=False)
+        assert r.per_case["c"].score == pytest.approx(0.5 * (1 - 0.5 * 1 / 2))
+        assert r.per_case["c"].substitution == ct.Substitution((("A", "Agent.1"),))
+        # beside a proper completion only that one merges
+        other = ct.Perception("markedBy", (ct.concrete("Agent.2"), ct.concrete("Agent.1")), True)
+        partner = ct.Perception("partner", (ct.concrete("Agent.2"),), True)
+        r = ct.scan_tree(tree, ct.TargetOracle(ct.TargetCase((twice, other, partner))))
+        assert r.per_case["c"].score == pytest.approx(1 - 0.5 * 1 / 3)
+        assert r.per_case["c"].substitution == ct.Substitution((("A", "Agent.2"),
+                                                               ("B", "Agent.1")))
+
     def test_unbounded_equals_brute_force_at_seven_agents(self):
         # whole-pitch 8-player targets perceive 7 concrete agents, beyond the
         # at most 5 of the 6-player fixtures
@@ -237,10 +264,18 @@ LABELS = ("A", "B", "C", "D")
 AGENTS = ("Agent.1", "Agent.2", "Agent.3", "Agent.4")
 
 
+def with_pair_masks(alts):
+    """Attach each binding's pair mask, numbering pairs as they first occur."""
+    bits = {}
+    return [(binding, matched,
+             sum(bits.setdefault(pair, 1 << len(bits)) for pair in binding))
+            for binding, matched in alts]
+
+
 @st.composite
 def alternative_lists(draw):
-    """(sorted binding, matched-position bitmask) lists with repeats, shared
-    matched sets and nested bindings."""
+    """(sorted binding, matched-position bitmask, pair bitmask) lists with
+    repeats, shared matched sets and nested bindings."""
     bindings = st.dictionaries(st.sampled_from(LABELS), st.sampled_from(AGENTS))
     positions = st.integers(0, 0b11111)
     alts = [(tuple(sorted(b.items())), m)
@@ -256,7 +291,7 @@ def alternative_lists(draw):
         elif kind == "same positions":
             binding = tuple(sorted(draw(bindings).items()))
         alts.append((binding, matched))
-    return draw(st.permutations(alts))
+    return with_pair_masks(draw(st.permutations(alts)))
 
 
 def matched_positions(mask):
@@ -294,6 +329,72 @@ class TestDominanceFilter:
             assert got is None and calls == k
         else:
             assert got == reference_filter(alts) and calls == len(set(alts))
+
+
+injective_bindings = st.lists(st.sampled_from(AGENTS), max_size=len(LABELS),
+                              unique=True).flatmap(
+    lambda ids: st.permutations(LABELS).map(lambda labels: dict(zip(labels, ids))))
+
+
+def reference_merge(binding, completion):
+    """The merged binding as a sorted tuple, or None when a label would be
+    bound twice or one id would bind two labels."""
+    merged = dict(binding)
+    for label, cid in completion.items():
+        if merged.setdefault(label, cid) != cid:
+            return None
+    if len(set(merged.values())) != len(merged):
+        return None
+    return tuple(sorted(merged.items()))
+
+
+class TestExtend:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(injective_bindings, st.integers(0, 0b1111)), max_size=6),
+           st.lists(st.dictionaries(st.sampled_from(LABELS), st.sampled_from(AGENTS)),
+                    max_size=6),
+           st.integers(0, 4))
+    def test_matches_dict_reference(self, alts, completions, depth):
+        # completions may clash on a label or an id with a binding, bind only
+        # some labels, bind labels a binding already holds, or bind one id
+        # twice; the alternatives' pairs are numbered first, as earlier arcs
+        # of a scan would have
+        numbering = _PairNumbering()
+        numbering.number([binding for binding, _ in alts])
+        numbered = numbering.number(completions)
+
+        def mask(binding):
+            return sum(numbering.bits[pair] for pair in binding)
+
+        alts = [(tuple(sorted(b.items())), m, mask(b.items())) for b, m in alts]
+        expected, reused = list(alts), []
+        for binding, matched, _ in alts:
+            for completion in completions:
+                merged = reference_merge(binding, completion)
+                if merged is not None:
+                    expected.append((merged, matched | 1 << depth, mask(merged)))
+                    reused.append(binding if merged == binding else None)
+        got = _extend(alts, numbered, 1 << depth, lambda: False)
+        assert got == expected
+        # a completion that binds nothing new reuses the binding itself
+        for alt, binding in zip(got[len(alts):], reused):
+            assert binding is None or alt[0] is binding
+
+    def test_interrupt_before_each_alternative(self):
+        numbering = _PairNumbering()
+        numbering.number([{"B": "Agent.2"}])
+        numbered = numbering.number([{"A": "Agent.1"}])
+        alts = [((), 0, 0), ((("B", "Agent.2"),), 1, 1)]
+        calls = 0
+
+        def interrupted():
+            nonlocal calls
+            calls += 1
+            return calls == 2
+
+        assert _extend(alts, numbered, 2, interrupted) is None and calls == 2
+        assert _extend(alts, numbered, 2, lambda: False) == alts + [
+            ((("A", "Agent.1"),), 2, 2), ((("A", "Agent.1"), ("B", "Agent.2")), 3, 3)]
 
 
 class TestScanBudget:
