@@ -27,12 +27,22 @@ Case file format (XML, UTF-8)::
 Weights use a decimal point. ``value`` types are Me, GenericAgent, or a
 constant object sort (Ball, Team, ...). The optional ``action`` attribute
 carries the decision attached to the case.
+
+Unification has one matcher and one binding search. ``TargetCase.completions``
+lists every way a perception pattern can be bound so that it occurs in the
+target. The binding core (``_PairNumbering``, ``_extend``,
+``_dominance_filter``) keeps the Pareto-optimal (binding, matched set)
+alternatives as perceptions are tested one by one. ``retrieval.scan_tree``
+runs it along every tree branch; ``unify`` and ``similarity.scored_unify``
+run it along one case's perceptions, and bind greedily from
+``EXACT_AGENT_LIMIT`` concrete agents up.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from xml.sax.saxutils import escape
 
 from .context import Context, ContextError, Violation, validate_perception, xml_attribute
@@ -155,6 +165,41 @@ class TargetCase:
     def perception_set(self) -> frozenset[Perception]:
         return frozenset(self.perceptions)
 
+    @cached_property
+    def concrete_ids(self) -> frozenset[str]:
+        return frozenset(v.name for p in self.perceptions for v in p.values
+                         if v.kind == "concrete")
+
+    @cached_property
+    def _by_test(self) -> dict[tuple[str, bool | str], list[Perception]]:
+        index: dict[tuple[str, bool | str], list[Perception]] = {}
+        for p in self.perceptions:
+            index.setdefault((p.name, p.choice), []).append(p)
+        return index
+
+    def completions(self, name: str, values: tuple[Value, ...],
+                    desired: bool | str) -> list[dict[str, str]]:
+        """Every way to fill the generic labels of the pattern ``name(values)``
+        so that the instantiated perception occurs here with the desired
+        choice value: one binding dict per way, in sorted order, each holding
+        its labels in sorted order. A fully ground pattern yields ``[{}]`` on
+        success and ``[]`` on failure."""
+        out: set[tuple[tuple[str, str], ...]] = set()
+        for entry in self._by_test.get((name, desired), ()):
+            if len(entry.values) != len(values):
+                continue
+            binding: dict[str, str] = {}
+            for pv, tv in zip(values, entry.values):
+                if pv.kind == "generic":
+                    if tv.kind != "concrete" or binding.get(pv.name, tv.name) != tv.name:
+                        break
+                    binding[pv.name] = tv.name
+                elif pv != tv:
+                    break
+            else:
+                out.add(tuple(sorted(binding.items())))
+        return [dict(pairs) for pairs in sorted(out)]
+
     def __len__(self) -> int:
         return len(self.perceptions)
 
@@ -190,20 +235,6 @@ class Substitution:
 EMPTY_SUBSTITUTION = Substitution()
 
 
-def apply_substitution(p: Perception, binding: dict[str, str]) -> Perception | None:
-    """Instantiate a source perception; None if some label is unbound."""
-    out = []
-    for v in p.values:
-        if v.kind == "generic":
-            bound = binding.get(v.name)
-            if bound is None:
-                return None
-            out.append(concrete(bound))
-        else:
-            out.append(v)
-    return Perception(p.name, tuple(out), p.choice)
-
-
 # ---------------------------------------------------------------------------
 # unification
 
@@ -211,120 +242,192 @@ def apply_substitution(p: Perception, binding: dict[str, str]) -> Perception | N
 #: than this; larger targets fall back to per-label greedy binding.
 EXACT_AGENT_LIMIT = 6
 
+# (sorted binding, bitmask of the matched positions, bitmask of the binding's
+# pairs). Pairs are numbered once per search, so the pair mask is a function
+# of the binding. Tuples of strings and ints drop out of CPython's collector,
+# so the alternatives a long scan holds do not bring on full collections
+# inside it.
+_Pairs = tuple[tuple[str, str], ...]
+_Alt = tuple[_Pairs, int, int]
 
-def _candidate_ids(source: GenericCase, target: TargetCase) -> dict[str, list[str]]:
-    """Per generic label, the concrete ids that could make some perception match."""
-    out: dict[str, set[str]] = {label: set() for label in source.generic_labels}
-    for p in source.perceptions:
-        labels = p.generic_labels
-        if not labels:
-            continue
-        for t in target.perceptions:
-            if t.name != p.name or t.choice != p.choice or len(t.values) != len(p.values):
+
+class _PairNumbering:
+    """One bit per (label, id) pair, numbered as a search first meets it."""
+
+    def __init__(self):
+        self.bits: dict[tuple[str, str], int] = {}
+        # per label and per id, the mask of every pair numbered with it
+        self.with_label: dict[str, int] = {}
+        self.with_id: dict[str, int] = {}
+
+    def number(self, completions: list[dict[str, str]]) -> list[tuple[_Pairs, int, int]]:
+        """(pairs, pair mask, clash mask) per completion that binds no id
+        twice; the others extend no binding. The clash mask holds the pairs
+        that share a label or an id with one of the completion's own."""
+        bits, with_label, with_id = self.bits, self.with_label, self.with_id
+        out = []
+        for completion in completions:
+            pairs = tuple(completion.items())
+            if len(set(completion.values())) != len(pairs):
                 continue
-            tentative: dict[str, str] = {}
-            ok = True
-            for pv, tv in zip(p.values, t.values):
-                if pv.kind == "generic":
-                    if tv.kind != "concrete" or tentative.get(pv.name, tv.name) != tv.name:
-                        ok = False
-                        break
-                    tentative[pv.name] = tv.name
-                elif pv != tv:
-                    ok = False
+            mask = clash = 0
+            for pair in pairs:
+                bit = bits.get(pair)
+                if bit is None:
+                    bit = bits[pair] = 1 << len(bits)
+                    label, cid = pair
+                    with_label[label] = with_label.get(label, 0) | bit
+                    with_id[cid] = with_id.get(cid, 0) | bit
+                mask |= bit
+            for label, cid in pairs:
+                clash |= with_label[label] | with_id[cid]
+            out.append((pairs, mask, clash & ~mask))
+        return out
+
+
+def _extend(alts: list[_Alt], numbered, depth_bit: int, interrupted) -> list[_Alt] | None:
+    """``alts`` followed by every merge of one of them with one numbered
+    completion, matched at ``depth_bit`` too; None as soon as
+    ``interrupted()`` holds before an alternative.
+
+    A binding takes a completion exactly when it holds none of the
+    completion's clash pairs: it then stays injective and binds every label
+    once. A completion inside the binding adds nothing and reuses it."""
+    new_alts = list(alts)
+    for binding, matched, held in alts:
+        if interrupted():
+            return None
+        matched |= depth_bit
+        for pairs, mask, clash in numbered:
+            if mask & held == mask:
+                new_alts.append((binding, matched, held))
+            elif not clash & held:
+                if mask & held:
+                    pairs = tuple(pair for pair in pairs if pair not in binding)
+                new_alts.append((tuple(sorted(binding + pairs)), matched, held | mask))
+    return new_alts
+
+
+def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
+    """Drop alternatives that a less-constrained, better-matched one subsumes.
+
+    ``b`` dominates ``a`` when ``b != a`` matches a superset of ``a``'s
+    positions and binds a subset of its pairs. Kept alternatives come in
+    presorted order: most matched positions first, then fewest pairs, then
+    by (binding, matched bitmask). Returns None as soon as ``interrupted()``
+    holds before a candidate."""
+    # stable passes with int keys, so that sorting allocates no key tuples
+    alts = sorted(set(alts))
+    alts.sort(key=lambda a: len(a[0]))
+    alts.sort(key=lambda a: -a[1].bit_count())
+    # every dominator sorts before what it dominates, and dominance is
+    # transitive, so testing against the alternatives kept so far suffices.
+    # A dominator binds a subset of the candidate's pairs, so only the kept
+    # entries filed under a subset of its pair mask can dominate it; there
+    # are 2^|binding| such subsets (at most 16 on every benchmark workload).
+    kept: list[_Alt] = []
+    # pair mask -> matched masks kept with it, as a tuple: a tuple of ints
+    # drops out of the collector, a list would not
+    index: dict[int, tuple[int, ...]] = {}
+    for a in alts:
+        if interrupted():
+            return None
+        _, matched, pairs = a
+        sub = pairs
+        while True:
+            for m in index.get(sub, ()):
+                if m & matched == matched:
                     break
-            if ok:
-                for label, cid in tentative.items():
-                    out[label].add(cid)
-    return {label: sorted(ids) for label, ids in out.items()}
+            else:
+                if sub:
+                    sub = (sub - 1) & pairs
+                    continue
+                kept.append(a)
+                index[pairs] = index.get(pairs, ()) + (matched,)
+            break
+    return kept
 
 
-def _matched_under(source: GenericCase, target_set: frozenset[Perception],
-                   binding: dict[str, str]) -> tuple[int, ...]:
-    matched = []
-    for i, p in enumerate(source.perceptions):
-        inst = apply_substitution(p, binding)
-        if inst is not None and inst in target_set:
-            matched.append(i)
-    return tuple(matched)
-
-
-def _restrict(binding: dict[str, str], source: GenericCase,
-              matched: tuple[int, ...]) -> Substitution:
-    """Keep only the bindings that some matched perception actually uses."""
-    used: set[str] = set()
-    for i in matched:
-        used.update(source.perceptions[i].generic_labels)
-    return Substitution(tuple((l, c) for l, c in binding.items() if l in used))
+def _never() -> bool:
+    return False
 
 
 def _search_bindings(source: GenericCase, target: TargetCase, objective):
-    """Enumerate injective bindings, maximizing ``objective(weight_sum, n_matched)``.
+    """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
-    Ties break on the lexicographically least restricted substitution.
-    Returns (best_value, Substitution, matched index tuple).
+    The case's perceptions are folded in declaration order through the
+    binding core, as ``retrieval.scan_tree`` folds a branch, and the best
+    surviving alternative wins. An alternative binds only what its matched
+    perceptions use, so its binding is already the restricted substitution,
+    and the dominance filter leaves each binding with every perception it
+    matches. Ties break on the lexicographically least binding. From
+    ``EXACT_AGENT_LIMIT`` concrete agents up, labels are bound greedily
+    instead. Returns (best_value, Substitution, matched index tuple).
     """
-    target_set = target.perception_set
-    labels = sorted(source.generic_labels)
-    candidates = _candidate_ids(source, target)
+    found = [target.completions(p.name, p.values, p.choice) for p in source.perceptions]
+    if len(target.concrete_ids) >= EXACT_AGENT_LIMIT:
+        return _greedy_binding(source, found, objective)
+
+    numbering = _PairNumbering()
+    alts: list[_Alt] = [((), 0, 0)]
+    for i, completions in enumerate(found):
+        grown = _extend(alts, numbering.number(completions), 1 << i, _never)
+        if len(grown) > len(alts):  # some alternative satisfies the perception
+            alts = _dominance_filter(grown, _never)
+
     weights = source.weights
-
-    best: tuple[float, Substitution, tuple[int, ...]] | None = None
-
-    def consider(binding: dict[str, str]):
-        nonlocal best
-        matched = _matched_under(source, target_set, binding)
-        value = objective(sum(weights[i] for i in matched), len(matched))
-        sub = _restrict(binding, source, matched)
-        if best is None or value > best[0] or (value == best[0] and sub < best[1]):
-            best = (value, sub, matched)
-
-    concrete_ids = {v.name for p in target.perceptions for v in p.values if v.kind == "concrete"}
-    if len(concrete_ids) >= EXACT_AGENT_LIMIT:
-        binding = _greedy_binding(source, target_set, labels, candidates, weights)
-        consider(binding)
-        assert best is not None
-        return best
-
-    def recurse(idx: int, binding: dict[str, str], used: set[str]):
-        if idx == len(labels):
-            consider(binding)
-            return
-        label = labels[idx]
-        for cid in candidates[label]:
-            if cid in used:
-                continue
-            binding[label] = cid
-            used.add(cid)
-            recurse(idx + 1, binding, used)
-            used.discard(cid)
-            del binding[label]
-        recurse(idx + 1, binding, used)  # leave the label unbound
-
-    recurse(0, {}, set())
+    best: tuple[float, _Pairs, tuple[int, ...]] | None = None
+    for pairs, matched, _ in alts:
+        indices = tuple(i for i in range(len(weights)) if matched >> i & 1)
+        value = objective(sum(weights[i] for i in indices), len(indices))
+        if best is None or value > best[0] or (value == best[0] and pairs < best[1]):
+            best = (value, pairs, indices)
     assert best is not None
-    return best
+    value, pairs, indices = best
+    return value, Substitution(pairs), indices
 
 
-def _greedy_binding(source, target_set, labels, candidates, weights) -> dict[str, str]:
+def _greedy_binding(source: GenericCase, found: list[list[dict[str, str]]], objective):
     """Bind labels one by one, each to the id that maximizes the matched weight
-    so far; ties take the smallest id. Inexact, used beyond the agent limit."""
+    so far; ties take the smallest id. Inexact, used from the agent limit up.
+
+    ``found`` holds each perception's completions. A perception is matched
+    when the binding's pairs for its labels are one of them. Returns what
+    ``_search_bindings`` returns."""
+    weights = source.weights
+    # per perception: its labels in sorted order, and its completions as pairs
+    keyed = [(sorted(p.generic_labels), {tuple(c.items()) for c in completions})
+             for p, completions in zip(source.perceptions, found)]
+    candidates: dict[str, set[str]] = {label: set() for label in source.generic_labels}
+    for _, completions in keyed:
+        for pairs in completions:
+            for label, cid in pairs:
+                candidates[label].add(cid)
+
+    def matched_under(binding: dict[str, str]) -> tuple[int, ...]:
+        return tuple(i for i, (labels, pairs) in enumerate(keyed)
+                     if tuple((label, binding.get(label)) for label in labels) in pairs)
+
     binding: dict[str, str] = {}
     used: set[str] = set()
-    for label in labels:
+    for label in sorted(candidates):
         best_id, best_w = None, -1.0
-        for cid in candidates[label]:
+        for cid in sorted(candidates[label]):
             if cid in used:
                 continue
             binding[label] = cid
-            w = sum(weights[i] for i in _matched_under(source, target_set, binding))
+            w = sum(weights[i] for i in matched_under(binding))
             del binding[label]
             if w > best_w:
                 best_id, best_w = cid, w
         if best_id is not None:
             binding[label] = best_id
             used.add(best_id)
-    return binding
+
+    matched = matched_under(binding)
+    labels_used = {label for i in matched for label in keyed[i][0]}
+    sub = Substitution(tuple(pair for pair in binding.items() if pair[0] in labels_used))
+    return objective(sum(weights[i] for i in matched), len(matched)), sub, matched
 
 
 def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozenset[int]]:

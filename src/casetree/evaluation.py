@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from statistics import fmean
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .cases import GenericCase, TargetCase, case_equivalent
 from .retrieval import (
@@ -173,16 +172,16 @@ def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
                 th_lin = min((exact[cid] for cid in c2_lin), default=None)
                 samples.append((row.recall, row.precision, row.n_correct,
                                 row.n_false, row.n_missed, th_lin, used, len(c2_lin)))
-            arr = np.array([s[:5] for s in samples], dtype=float)
-            th_values = [s[5] for s in samples if s[5] is not None]
+            columns = list(zip(*samples))
+            recall, precision, n_correct, n_false, n_missed = map(fmean, columns[:5])
+            used, retrieved = map(fmean, columns[6:])
+            th_values = [th for th in columns[5] if th is not None]
             rows.append(MetricRow(
                 target=target_id, alpha=params.alpha, budget=budget, engine="linear",
-                recall=float(arr[:, 0].mean()), precision=float(arr[:, 1].mean()),
-                n_correct=float(arr[:, 2].mean()), n_false=float(arr[:, 3].mean()),
-                n_missed=float(arr[:, 4].mean()),
-                th_t=float(np.mean(th_values)) if th_values else None,
-                tests_used=float(np.mean([s[6] for s in samples])),
-                retrieved=float(np.mean([s[7] for s in samples])),
+                recall=recall, precision=precision, n_correct=n_correct,
+                n_false=n_false, n_missed=n_missed,
+                th_t=fmean(th_values) if th_values else None,
+                tests_used=used, retrieved=retrieved,
             ))
     return rows
 

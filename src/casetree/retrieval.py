@@ -17,6 +17,13 @@ candidate binding abandons the branch and freezes the scores of the cases
 below it; with pruning off the scan keeps walking and converges to the
 offline similarity of every case.
 
+The matcher behind the oracle (``TargetCase.completions``) and the binding
+core that merges and filters a branch's alternatives live in ``cases``. The
+linear baseline scores each case with ``similarity.scored_unify``, which
+runs the same core along the case's perceptions: below
+``cases.EXACT_AGENT_LIMIT`` concrete agents the two engines differ only in
+how they share work.
+
 Budgets are observed before every test: a comparison budget caps the used
 count exactly, and a deadline or external cancellation stops the scan before
 its next oracle call. Deadline and cancellation are also observed for every
@@ -40,6 +47,10 @@ from .cases import (
     Substitution,
     TargetCase,
     Value,
+    _Alt,
+    _dominance_filter,
+    _extend,
+    _PairNumbering,
 )
 from .similarity import DEFAULT_PARAMS, SimilarityParams, partial_score, scored_unify
 
@@ -250,17 +261,13 @@ UNBOUNDED = ScanBudget()
 class TargetOracle:
     """Prolog-style completion queries against one target case.
 
-    ``completions(name, values, desired)`` returns one binding dict per way
-    the pattern's generic labels can be filled so that the instantiated
-    perception occurs in the target with the desired choice value. A fully
-    ground pattern yields ``[{}]`` on success and ``[]`` on failure.
+    ``completions(name, values, desired)`` is ``TargetCase.completions``.
+    Scans take the oracle as a parameter, so a caller can stand in its own,
+    for instance to time or fail its tests.
     """
 
     def __init__(self, target: TargetCase):
         self.target = target
-        self._by_name: dict[str, list[Perception]] = {}
-        for p in target.perceptions:
-            self._by_name.setdefault(p.name, []).append(p)
 
     @property
     def size(self) -> int:
@@ -268,24 +275,7 @@ class TargetOracle:
 
     def completions(self, name: str, values: tuple[Value, ...],
                     desired: bool | str) -> list[dict[str, str]]:
-        out: set[tuple[tuple[str, str], ...]] = set()
-        for entry in self._by_name.get(name, ()):
-            if entry.choice != desired or len(entry.values) != len(values):
-                continue
-            binding: dict[str, str] = {}
-            ok = True
-            for pv, tv in zip(values, entry.values):
-                if pv.kind == "generic":
-                    if tv.kind != "concrete" or binding.get(pv.name, tv.name) != tv.name:
-                        ok = False
-                        break
-                    binding[pv.name] = tv.name
-                elif pv != tv:
-                    ok = False
-                    break
-            if ok:
-                out.add(tuple(sorted(binding.items())))
-        return [dict(pairs) for pairs in sorted(out)]
+        return self.target.completions(name, values, desired)
 
 
 # ---------------------------------------------------------------------------
@@ -328,112 +318,6 @@ def _argmax(per_case: dict[str, CaseOutcome], require_evaluated: bool):
 
 # ---------------------------------------------------------------------------
 # the tree scanner
-
-# (sorted binding, bitmask of the matched branch positions, bitmask of the
-# binding's pairs). Pairs are numbered once per scan, so the pair mask is a
-# function of the binding. Tuples of strings and ints drop out of CPython's
-# collector, so the alternatives a long scan holds do not bring on full
-# collections inside it.
-_Pairs = tuple[tuple[str, str], ...]
-_Alt = tuple[_Pairs, int, int]
-
-
-class _PairNumbering:
-    """One bit per (label, id) pair, numbered as a scan first meets it."""
-
-    def __init__(self):
-        self.bits: dict[tuple[str, str], int] = {}
-        # per label and per id, the mask of every pair numbered with it
-        self.with_label: dict[str, int] = {}
-        self.with_id: dict[str, int] = {}
-
-    def number(self, completions: list[dict[str, str]]) -> list[tuple[_Pairs, int, int]]:
-        """(pairs, pair mask, clash mask) per completion that binds no id
-        twice; the others extend no binding. The clash mask holds the pairs
-        that share a label or an id with one of the completion's own."""
-        bits, with_label, with_id = self.bits, self.with_label, self.with_id
-        out = []
-        for completion in completions:
-            pairs = tuple(completion.items())
-            if len(set(completion.values())) != len(pairs):
-                continue
-            mask = clash = 0
-            for pair in pairs:
-                bit = bits.get(pair)
-                if bit is None:
-                    bit = bits[pair] = 1 << len(bits)
-                    label, cid = pair
-                    with_label[label] = with_label.get(label, 0) | bit
-                    with_id[cid] = with_id.get(cid, 0) | bit
-                mask |= bit
-            for label, cid in pairs:
-                clash |= with_label[label] | with_id[cid]
-            out.append((pairs, mask, clash & ~mask))
-        return out
-
-
-def _extend(alts: list[_Alt], numbered, depth_bit: int, interrupted) -> list[_Alt] | None:
-    """``alts`` followed by every merge of one of them with one numbered
-    completion, matched at ``depth_bit`` too; None as soon as
-    ``interrupted()`` holds before an alternative.
-
-    A binding takes a completion exactly when it holds none of the
-    completion's clash pairs: it then stays injective and binds every label
-    once. A completion inside the binding adds nothing and reuses it."""
-    new_alts = list(alts)
-    for binding, matched, held in alts:
-        if interrupted():
-            return None
-        matched |= depth_bit
-        for pairs, mask, clash in numbered:
-            if mask & held == mask:
-                new_alts.append((binding, matched, held))
-            elif not clash & held:
-                if mask & held:
-                    pairs = tuple(pair for pair in pairs if pair not in binding)
-                new_alts.append((tuple(sorted(binding + pairs)), matched, held | mask))
-    return new_alts
-
-
-def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
-    """Drop alternatives that a less-constrained, better-matched one subsumes.
-
-    ``b`` dominates ``a`` when ``b != a`` matches a superset of ``a``'s
-    positions and binds a subset of its pairs. Kept alternatives come in
-    presorted order: most matched positions first, then fewest pairs, then
-    by (binding, matched bitmask). Returns None as soon as ``interrupted()``
-    holds before a candidate."""
-    # stable passes with int keys, so that sorting allocates no key tuples
-    alts = sorted(set(alts))
-    alts.sort(key=lambda a: len(a[0]))
-    alts.sort(key=lambda a: -a[1].bit_count())
-    # every dominator sorts before what it dominates, and dominance is
-    # transitive, so testing against the alternatives kept so far suffices.
-    # A dominator binds a subset of the candidate's pairs, so only the kept
-    # entries filed under a subset of its pair mask can dominate it; there
-    # are 2^|binding| such subsets (at most 16 on every benchmark workload).
-    kept: list[_Alt] = []
-    # pair mask -> matched masks kept with it, as a tuple: a tuple of ints
-    # drops out of the collector, a list would not
-    index: dict[int, tuple[int, ...]] = {}
-    for a in alts:
-        if interrupted():
-            return None
-        _, matched, pairs = a
-        sub = pairs
-        while True:
-            for m in index.get(sub, ()):
-                if m & matched == matched:
-                    break
-            else:
-                if sub:
-                    sub = (sub - 1) & pairs
-                    continue
-                kept.append(a)
-                index[pairs] = index.get(pairs, ()) + (matched,)
-            break
-    return kept
-
 
 def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
                    best: dict[str, tuple[float, tuple[tuple[str, str], ...]]],

@@ -34,8 +34,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cases import ME, Perception, TargetCase, concrete, const
 from .context import Context, football_context, quantize_distance, validate_perception
 
@@ -55,10 +53,6 @@ class Player:
     marked_by: str | None = None
     call_for_ball: bool = False
     call_for_support: bool = False
-
-    @property
-    def pos(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class Query:
 # geometry helpers
 
 def _distance(a, b) -> float:
-    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
+    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def _facing(player: Player, ball: tuple[float, float]) -> tuple[float, float]:
@@ -156,15 +150,22 @@ def elaborate(world: WorldSnapshot, self_id: str,
               radius: float = DEFAULT_RADIUS,
               ctx: Context | None = None) -> TargetCase:
     """Extract the full perception set of ``self_id`` over entities within
-    ``radius``, as a target case (self rendered as ``me``).
+    ``radius``, as a target case (self rendered as ``me``). Raises
+    ``ValueError`` when ``self_id`` is not a player or ``radius`` is negative
+    or not finite.
 
     Candidate perceptions follow the world semantics documented in the
     module docstring and are filtered through the context, so a restricted
     vocabulary simply yields fewer perceptions. Predicate names are matched
     case-insensitively against the known repertoire.
     """
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and non-negative, got {radius}")
+    try:
+        me = world.player(self_id)
+    except KeyError:
+        raise ValueError(f"observer {self_id!r} is not a player") from None
     ctx = ctx if ctx is not None else football_context()
-    me = world.player(self_id)
 
     perceived = [p for p in world.players
                  if p.pid == self_id or _distance((p.x, p.y), (me.x, me.y)) <= radius]

@@ -58,16 +58,86 @@ def brute_force_best_weight(source, target):
     return best
 
 
+def score_of(source, target, matched, alpha):
+    """The scoring expression for one matched index tuple."""
+    size = len(target.perceptions)
+    w = sum(source.weights[i] for i in matched)
+    return (w / sum(source.weights)) * (1.0 - alpha * (size - len(matched)) / size)
+
+
+def restricted(source, binding, matched):
+    """The binding cut down to the labels that the matched perceptions use."""
+    used = {label for i in matched for label in source.perceptions[i].generic_labels}
+    return ct.Substitution(tuple(pair for pair in binding.items() if pair[0] in used))
+
+
+def brute_force_optimum(source, target, alpha):
+    """(score, substitution, matched index tuple) of the best binding: the
+    maximum of the full scoring expression over all injective bindings, and
+    among the bindings reaching it the least restricted substitution."""
+    best = None
+    for matched, binding in brute_force_matches(source, target):
+        candidate = (score_of(source, target, matched, alpha),
+                     restricted(source, binding, matched), matched)
+        if best is None or candidate[0] > best[0] or (
+                candidate[0] == best[0] and candidate[1] < best[1]):
+            best = candidate
+    return best
+
+
 def brute_force_similarity(source, target, alpha):
     """Maximum of the full scoring expression over all injective bindings."""
-    total = sum(source.weights)
-    size = len(target.perceptions)
-    best = 0.0
-    for matched, _ in brute_force_matches(source, target):
-        w = sum(source.weights[i] for i in matched)
-        score = (w / total) * (1.0 - alpha * (size - len(matched)) / size)
-        best = max(best, score)
-    return best
+    return brute_force_optimum(source, target, alpha)[0]
+
+
+def pattern_match(p, t):
+    """The label -> id map under which source perception ``p`` reads as
+    target perception ``t``, or None when no map does."""
+    if (p.name, p.choice, len(p.values)) != (t.name, t.choice, len(t.values)):
+        return None
+    binding = {}
+    for pv, tv in zip(p.values, t.values):
+        if pv.kind == "generic":
+            if tv.kind != "concrete" or binding.setdefault(pv.name, tv.name) != tv.name:
+                return None
+        elif pv != tv:
+            return None
+    return binding
+
+
+def reference_greedy(source, target):
+    """(binding, matched index tuple) of the per-label greedy fallback.
+
+    Labels are bound in sorted order, each to the unused candidate id that
+    maximizes the weight of the perceptions whose instantiation lies in the
+    target, ties going to the smallest id; a label with an unused candidate
+    is always bound. A label's candidates are the ids it takes in some
+    source perception's match against some target perception."""
+    target_set = set(target.perceptions)
+
+    def matched_under(binding):
+        return tuple(i for i, p in enumerate(source.perceptions)
+                     if (inst := substitute(p, binding)) is not None and inst in target_set)
+
+    candidates = {label: set() for label in source.generic_labels}
+    for p in source.perceptions:
+        for t in target.perceptions:
+            for label, cid in (pattern_match(p, t) or {}).items():
+                candidates[label].add(cid)
+    binding = {}
+    for label in sorted(candidates):
+        free = sorted(candidates[label] - set(binding.values()))
+        if free:  # max keeps the first, so the smallest, of equal weights
+            binding[label] = max(free, key=lambda cid: sum(
+                source.weights[i] for i in matched_under({**binding, label: cid})))
+    return binding, matched_under(binding)
+
+
+def zero_odd_weights(case):
+    """The case with every odd-indexed weight set to zero, so that scores tie."""
+    return ct.GenericCase(case.id, case.perceptions,
+                          tuple(0.0 if i % 2 else w for i, w in enumerate(case.weights)),
+                          case.action)
 
 
 def xml_text_ok(text: str) -> bool:

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from support import brute_force_best_weight, random_base, random_target, xml_text_ok
+from casetree.similarity import scored_unify
+from support import (
+    brute_force_best_weight,
+    random_base,
+    random_target,
+    reference_greedy,
+    restricted,
+    sample_case,
+    score_of,
+    xml_text_ok,
+    zero_odd_weights,
+)
 
 
 def target(*perceptions: ct.Perception) -> ct.TargetCase:
@@ -310,6 +321,27 @@ class TestLargeTargetFallback:
     def test_greedy_is_deterministic(self, case1):
         t = self.target_with(10)
         assert ct.unify(case1, t) == ct.unify(case1, t)
+
+    def test_matches_reference_greedy(self, football_ctx):
+        # whole-pitch 8-player targets perceive 7 concrete agents, and cases
+        # sampled from another such target bind several labels
+        for seed in range(1, 13):
+            rng = random.Random(seed)
+            source_world = ct.generate_world(3000 + seed, 8)
+            source = ct.elaborate(source_world, source_world.self_id, radius=120)
+            world = ct.generate_world(2000 + seed, 8)
+            t = ct.elaborate(world, world.self_id, radius=120)
+            assert len(t.concrete_ids) >= ct.cases.EXACT_AGENT_LIMIT
+            for i in range(10):
+                sampled = sample_case(rng, source, football_ctx, f"c{i}", max_perceptions=6)
+                # zero weights leave a label with nothing to gain
+                for case in (sampled, zero_odd_weights(sampled)):
+                    binding, matched = reference_greedy(case, t)
+                    sub, matched = restricted(case, binding, matched), frozenset(matched)
+                    assert ct.unify(case, t) == (sub, matched), (seed, case.id)
+                    for alpha in (0.0, 0.5, 1.0):
+                        assert scored_unify(case, t, ct.SimilarityParams(alpha)) == (
+                            score_of(case, t, matched, alpha), sub, matched), (seed, case.id)
 
     def test_exact_regime_boundary(self, case1):
         # five concrete agents still use the exact search: the binding that

@@ -133,6 +133,21 @@ class TestRetrieve:
         assert "not allowed with argument" in captured.err
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--self", "Agent.99"], "observer 'Agent.99' is not a player"),
+        (["--radius", "nan"], "radius"),
+        (["--radius", "-5"], "radius"),
+    ])
+    def test_bad_observer_or_radius_is_validation_failure(self, paths, capsys, flags,
+                                                           message):
+        code = main(["retrieve", "--ctx", paths["ctx"], "--base", paths["base"],
+                     "--world", paths["world"], *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestBench:
     def test_memory_suite(self, paths, capsys):
         out = paths["tmp"] / "mem.csv"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.retrieval import _dominance_filter, _extend, _PairNumbering
-from support import brute_force_similarity, random_base, random_target
+from casetree.cases import _dominance_filter, _extend, _PairNumbering
+from support import brute_force_similarity, random_base, random_target, zero_odd_weights
 
 
 @pytest.fixture()
@@ -423,14 +423,8 @@ class TestScanLinear:
             target = random_target(seed + 111)
             if not base or not len(target):
                 continue
-            zeroed = [
-                ct.GenericCase(c.id, c.perceptions,
-                               tuple(0.0 if i % 2 else w for i, w in enumerate(c.weights)),
-                               c.action)
-                for c in base
-            ]
             oracle = ct.TargetOracle(target)
-            for cases in (base, zeroed):
+            for cases in (base, [zero_odd_weights(c) for c in base]):
                 tree = ct.build_tree(cases, ct.FOOTBALL_PRIORITY)
                 for alpha in (0.5, 0.0):
                     params = ct.SimilarityParams(alpha)

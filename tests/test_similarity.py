@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.similarity import partial_score
-from support import brute_force_similarity, random_base, random_target
+from casetree.similarity import partial_score, scored_unify
+from support import (
+    brute_force_optimum,
+    brute_force_similarity,
+    random_base,
+    random_target,
+    zero_odd_weights,
+)
 
 
 class TestOfflineSimilarity:
@@ -42,6 +48,23 @@ class TestOfflineSimilarity:
                     got = ct.similarity(case, t, ct.SimilarityParams(alpha))
                     want = brute_force_similarity(case, t, alpha)
                     assert got == pytest.approx(want, abs=1e-12), (case.id, alpha)
+
+    def test_tie_rule_matches_brute_force(self):
+        # alpha 0 and zero-weight perceptions make exact score ties common; of
+        # the optimal bindings the least restricted substitution must win
+        for seed in range(60):
+            base = random_base(seed, 6)
+            t = random_target(seed + 1300)
+            if not len(t):
+                continue
+            assert len(t.concrete_ids) < ct.cases.EXACT_AGENT_LIMIT
+            for case in map(zero_odd_weights, base):
+                for alpha in (0.0, 0.5):
+                    score, sub, matched = scored_unify(case, t, ct.SimilarityParams(alpha))
+                    want_score, want_sub, want_matched = brute_force_optimum(case, t, alpha)
+                    assert score == pytest.approx(want_score, abs=1e-12), (seed, case.id)
+                    assert sub == want_sub, (seed, case.id, alpha)
+                    assert matched == frozenset(want_matched), (seed, case.id, alpha)
 
     def test_alpha_zero_ignores_target_coverage(self, case1, two_of_three_target):
         got = ct.similarity(case1, two_of_three_target, ct.SimilarityParams(0.0))

@@ -138,8 +138,14 @@ class TestElaborate:
                 assert p.values[1].kind in ("me", "concrete")
 
     def test_unknown_self(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="Agent.99"):
             ct.elaborate(compact_world(), "Agent.99")
+
+    @pytest.mark.parametrize("radius", [-5.0, -1e-9, float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_negative_or_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            ct.elaborate(compact_world(), "Agent.1", radius=radius)
 
     def test_origin_is_world_id(self):
         assert ct.elaborate(compact_world(), "Agent.1").origin == "compact"
