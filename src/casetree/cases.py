@@ -30,19 +30,18 @@ carries the decision attached to the case.
 
 Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every way a perception pattern can be bound so that it occurs in the
-target. The binding core (``_PairNumbering``, ``_extend``,
-``_dominance_filter``) keeps the Pareto-optimal (binding, matched set)
-alternatives as perceptions are tested one by one. ``retrieval.scan_tree``
-runs it along every tree branch; ``unify`` and ``similarity.scored_unify``
-run it along one case's perceptions, and bind greedily from
-``EXACT_AGENT_LIMIT`` concrete agents up.
+target. ``_search_bindings``, behind ``unify`` and ``similarity.scored_unify``,
+finds a case's best injective binding by a bounded depth-first search over
+those completions: it is exact at every agent count and can be interrupted at
+every search node. ``retrieval.scan_tree`` folds the same completions along
+every tree branch.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from xml.sax.saxutils import escape
 
 from .context import Context, ContextError, Violation, validate_perception, xml_attribute
@@ -166,11 +165,6 @@ class TargetCase:
         return frozenset(self.perceptions)
 
     @cached_property
-    def concrete_ids(self) -> frozenset[str]:
-        return frozenset(v.name for p in self.perceptions for v in p.values
-                         if v.kind == "concrete")
-
-    @cached_property
     def _by_test(self) -> dict[tuple[str, bool | str], list[Perception]]:
         index: dict[tuple[str, bool | str], list[Perception]] = {}
         for p in self.perceptions:
@@ -238,196 +232,92 @@ EMPTY_SUBSTITUTION = Substitution()
 # ---------------------------------------------------------------------------
 # unification
 
-#: Exact search is used while the target references fewer concrete agents
-#: than this; larger targets fall back to per-label greedy binding.
-EXACT_AGENT_LIMIT = 6
-
-# (sorted binding, bitmask of the matched positions, bitmask of the binding's
-# pairs). Pairs are numbered once per search, so the pair mask is a function
-# of the binding. Tuples of strings and ints drop out of CPython's collector,
-# so the alternatives a long scan holds do not bring on full collections
-# inside it.
-_Pairs = tuple[tuple[str, str], ...]
-_Alt = tuple[_Pairs, int, int]
-
-
-class _PairNumbering:
-    """One bit per (label, id) pair, numbered as a search first meets it."""
-
-    def __init__(self):
-        self.bits: dict[tuple[str, str], int] = {}
-        # per label and per id, the mask of every pair numbered with it
-        self.with_label: dict[str, int] = {}
-        self.with_id: dict[str, int] = {}
-
-    def number(self, completions: list[dict[str, str]]) -> list[tuple[_Pairs, int, int]]:
-        """(pairs, pair mask, clash mask) per completion that binds no id
-        twice; the others extend no binding. The clash mask holds the pairs
-        that share a label or an id with one of the completion's own."""
-        bits, with_label, with_id = self.bits, self.with_label, self.with_id
-        out = []
-        for completion in completions:
-            pairs = tuple(completion.items())
-            if len(set(completion.values())) != len(pairs):
-                continue
-            mask = clash = 0
-            for pair in pairs:
-                bit = bits.get(pair)
-                if bit is None:
-                    bit = bits[pair] = 1 << len(bits)
-                    label, cid = pair
-                    with_label[label] = with_label.get(label, 0) | bit
-                    with_id[cid] = with_id.get(cid, 0) | bit
-                mask |= bit
-            for label, cid in pairs:
-                clash |= with_label[label] | with_id[cid]
-            out.append((pairs, mask, clash & ~mask))
-        return out
-
-
-def _extend(alts: list[_Alt], numbered, depth_bit: int, interrupted) -> list[_Alt] | None:
-    """``alts`` followed by every merge of one of them with one numbered
-    completion, matched at ``depth_bit`` too; None as soon as
-    ``interrupted()`` holds before an alternative.
-
-    A binding takes a completion exactly when it holds none of the
-    completion's clash pairs: it then stays injective and binds every label
-    once. A completion inside the binding adds nothing and reuses it."""
-    new_alts = list(alts)
-    for binding, matched, held in alts:
-        if interrupted():
-            return None
-        matched |= depth_bit
-        for pairs, mask, clash in numbered:
-            if mask & held == mask:
-                new_alts.append((binding, matched, held))
-            elif not clash & held:
-                if mask & held:
-                    pairs = tuple(pair for pair in pairs if pair not in binding)
-                new_alts.append((tuple(sorted(binding + pairs)), matched, held | mask))
-    return new_alts
-
-
-def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
-    """Drop alternatives that a less-constrained, better-matched one subsumes.
-
-    ``b`` dominates ``a`` when ``b != a`` matches a superset of ``a``'s
-    positions and binds a subset of its pairs. Kept alternatives come in
-    presorted order: most matched positions first, then fewest pairs, then
-    by (binding, matched bitmask). Returns None as soon as ``interrupted()``
-    holds before a candidate."""
-    # stable passes with int keys, so that sorting allocates no key tuples
-    alts = sorted(set(alts))
-    alts.sort(key=lambda a: len(a[0]))
-    alts.sort(key=lambda a: -a[1].bit_count())
-    # every dominator sorts before what it dominates, and dominance is
-    # transitive, so testing against the alternatives kept so far suffices.
-    # A dominator binds a subset of the candidate's pairs, so only the kept
-    # entries filed under a subset of its pair mask can dominate it; there
-    # are 2^|binding| such subsets (at most 16 on every benchmark workload).
-    kept: list[_Alt] = []
-    # pair mask -> matched masks kept with it, as a tuple: a tuple of ints
-    # drops out of the collector, a list would not
-    index: dict[int, tuple[int, ...]] = {}
-    for a in alts:
-        if interrupted():
-            return None
-        _, matched, pairs = a
-        sub = pairs
-        while True:
-            for m in index.get(sub, ()):
-                if m & matched == matched:
-                    break
-            else:
-                if sub:
-                    sub = (sub - 1) & pairs
-                    continue
-                kept.append(a)
-                index[pairs] = index.get(pairs, ()) + (matched,)
-            break
-    return kept
-
-
-def _never() -> bool:
-    return False
-
-
-def _search_bindings(source: GenericCase, target: TargetCase, objective):
+def _search_bindings(source: GenericCase, target: TargetCase, objective, interrupted=None):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
-    The case's perceptions are folded in declaration order through the
-    binding core, as ``retrieval.scan_tree`` folds a branch, and the best
-    surviving alternative wins. An alternative binds only what its matched
-    perceptions use, so its binding is already the restricted substitution,
-    and the dominance filter leaves each binding with every perception it
-    matches. Ties break on the lexicographically least binding. From
-    ``EXACT_AGENT_LIMIT`` concrete agents up, labels are bound greedily
-    instead. Returns (best_value, Substitution, matched index tuple).
+    A bounded depth-first search decides the generic labels in sorted order.
+    A node first offers its binding as a candidate, unless its parent already
+    did, then binds the next label to each id it can still take, in ascending
+    order, and last leaves the label unbound. Candidates therefore come in the
+    lexicographic order of their (label, id) pairs, so a node is cut as soon
+    as its bound cannot beat the incumbent, and the least binding among the
+    optima still wins, as in ``retrieval.scan_tree``. A candidate counts only
+    when each label it binds occurs in a perception it matches: it is then
+    the restricted substitution, matching every perception it can.
+
+    Each undecided perception keeps as its domain the completions that agree
+    with the labels decided so far and give no other label a bound id
+    (forward checking); a node's bound adds every one whose domain is not
+    empty to the matched perceptions. Weights are summed in ascending perception order, for
+    candidates and bounds alike, so rounding cannot put a bound below a
+    candidate under it; ``objective`` must not decrease in either argument.
+    Returns (best_value, Substitution, frozenset of matched indices), or None
+    as soon as ``interrupted()`` holds at a node.
     """
-    found = [target.completions(p.name, p.values, p.choice) for p in source.perceptions]
-    if len(target.concrete_ids) >= EXACT_AGENT_LIMIT:
-        return _greedy_binding(source, found, objective)
-
-    numbering = _PairNumbering()
-    alts: list[_Alt] = [((), 0, 0)]
-    for i, completions in enumerate(found):
-        grown = _extend(alts, numbering.number(completions), 1 << i, _never)
-        if len(grown) > len(alts):  # some alternative satisfies the perception
-            alts = _dominance_filter(grown, _never)
-
     weights = source.weights
-    best: tuple[float, _Pairs, tuple[int, ...]] | None = None
-    for pairs, matched, _ in alts:
-        indices = tuple(i for i in range(len(weights)) if matched >> i & 1)
-        value = objective(sum(weights[i] for i in indices), len(indices))
-        if best is None or value > best[0] or (value == best[0] and pairs < best[1]):
-            best = (value, pairs, indices)
-    assert best is not None
-    value, pairs, indices = best
-    return value, Substitution(pairs), indices
+    labels = sorted(source.generic_labels)
+    rank = {label: r for r, label in enumerate(labels)}
+    matched = 0  # bitmask of the matched perceptions
+    # per undecided perception: its bit, the ranks of its labels in ascending
+    # order, the position of its next undecided label, its domain as rows of
+    # ids in the same order, and the bitmask of its label ranks
+    live = []
+    for i, p in enumerate(source.perceptions):
+        own = sorted(rank[label] for label in p.generic_labels)
+        # completions hold their labels in sorted order, which is rank order;
+        # those that bind one id to two labels are dropped
+        rows = [tuple(c.values()) for c in target.completions(p.name, p.values, p.choice)]
+        domain = rows if len(own) < 2 else [row for row in rows if len(set(row)) == len(row)]
+        if domain and not own:
+            matched |= 1 << i
+        elif domain:
+            live.append((1 << i, own, 0, domain, sum(1 << r for r in own)))
 
+    @cache
+    def value(mask: int) -> float:
+        w, indices = 0.0, [i for i in range(len(weights)) if mask >> i & 1]
+        for i in indices:
+            w += weights[i]
+        return objective(w, len(indices))
 
-def _greedy_binding(source: GenericCase, found: list[list[dict[str, str]]], objective):
-    """Bind labels one by one, each to the id that maximizes the matched weight
-    so far; ties take the smallest id. Inexact, used from the agent limit up.
-
-    ``found`` holds each perception's completions. A perception is matched
-    when the binding's pairs for its labels are one of them. Returns what
-    ``_search_bindings`` returns."""
-    weights = source.weights
-    # per perception: its labels in sorted order, and its completions as pairs
-    keyed = [(sorted(p.generic_labels), {tuple(c.items()) for c in completions})
-             for p, completions in zip(source.perceptions, found)]
-    candidates: dict[str, set[str]] = {label: set() for label in source.generic_labels}
-    for _, completions in keyed:
-        for pairs in completions:
-            for label, cid in pairs:
-                candidates[label].add(cid)
-
-    def matched_under(binding: dict[str, str]) -> tuple[int, ...]:
-        return tuple(i for i, (labels, pairs) in enumerate(keyed)
-                     if tuple((label, binding.get(label)) for label in labels) in pairs)
-
-    binding: dict[str, str] = {}
-    used: set[str] = set()
-    for label in sorted(candidates):
-        best_id, best_w = None, -1.0
-        for cid in sorted(candidates[label]):
-            if cid in used:
-                continue
-            binding[label] = cid
-            w = sum(weights[i] for i in matched_under(binding))
-            del binding[label]
-            if w > best_w:
-                best_id, best_w = cid, w
-        if best_id is not None:
-            binding[label] = best_id
-            used.add(best_id)
-
-    matched = matched_under(binding)
-    labels_used = {label for i in matched for label in keyed[i][0]}
-    sub = Substitution(tuple(pair for pair in binding.items() if pair[0] in labels_used))
-    return objective(sum(weights[i] for i in matched), len(matched)), sub, matched
+    best = value(matched), (), matched
+    # nodes still to visit, the next one last: (rank of the next label to
+    # decide, binding so far, bitmasks of the label ranks it binds and of those
+    # its matched perceptions use, matched perceptions, undecided perceptions,
+    # whether the binding is a new candidate)
+    stack = [(0, (), 0, 0, matched, live, False)]
+    while stack:
+        if interrupted is not None and interrupted():
+            return None
+        r, pairs, held, covered, matched, live, offer = stack.pop()
+        if offer and covered == held and value(matched) > best[0]:
+            best = value(matched), pairs, matched
+        bound, reach = matched, covered
+        for bit, _, _, _, ranks in live:
+            bound, reach = bound | bit, reach | ranks
+        # cut, and also when a bound label is in no perception that matches or
+        # still can: no candidate below is then a restricted substitution
+        if r == len(labels) or value(bound) <= best[0] or held & ~reach:
+            continue
+        stack.append((r + 1, pairs, held, covered, matched,
+                      [e for e in live if e[1][e[2]] != r], False))
+        ids = {row[k] for _, own, k, domain, _ in live if own[k] == r for row in domain}
+        for cid in sorted(ids, reverse=True):
+            grown, now_covered, now_matched = [], covered, matched
+            for bit, own, k, domain, ranks in live:
+                if own[k] == r:
+                    domain, k = [row for row in domain if row[k] == cid], k + 1
+                else:
+                    domain = [row for row in domain if cid not in row]
+                if domain and k < len(own):
+                    grown.append((bit, own, k, domain, ranks))
+                elif domain:
+                    now_covered, now_matched = now_covered | ranks, now_matched | bit
+            stack.append((r + 1, pairs + ((labels[r], cid),), held | 1 << r, now_covered,
+                          now_matched, grown, True))
+    best_value, pairs, matched = best
+    return best_value, Substitution(pairs), frozenset(i for i in range(len(weights))
+                                                       if matched >> i & 1)
 
 
 def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozenset[int]]:
@@ -438,7 +328,7 @@ def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozen
     when nothing matches.
     """
     _, sub, matched = _search_bindings(source, target, lambda w, n: w)
-    return sub, frozenset(matched)
+    return sub, matched
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ candidate binding abandons the branch and freezes the scores of the cases
 below it; with pruning off the scan keeps walking and converges to the
 offline similarity of every case.
 
-The matcher behind the oracle (``TargetCase.completions``) and the binding
-core that merges and filters a branch's alternatives live in ``cases``. The
-linear baseline scores each case with ``similarity.scored_unify``, which
-runs the same core along the case's perceptions: below
-``cases.EXACT_AGENT_LIMIT`` concrete agents the two engines differ only in
-how they share work.
+The oracle's matcher is ``TargetCase.completions``; the binding core below
+merges and filters a branch's alternatives. The linear baseline scores each
+case with ``similarity.scored_unify``, an exact bounded search over the same
+completions at every agent count, so the two engines differ only in how they
+share work.
 
 Budgets are observed before every test: a comparison budget caps the used
 count exactly, and a deadline or external cancellation stops the scan before
@@ -31,7 +30,8 @@ alternative while a test's bindings are merged and filtered, so a deadline
 is overrun by one oracle call, one alternative's work and one arc's score
 updates at most; an arc interrupted before its score updates counts as used
 but changes no case. Scores are updated as each arc is tested, so an
-interrupted scan only assembles its result.
+interrupted scan only assembles its result. The linear scan observes deadline
+and cancellation at every node of a case's search as well.
 """
 
 from __future__ import annotations
@@ -41,17 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cases import (
-    GenericCase,
-    Perception,
-    Substitution,
-    TargetCase,
-    Value,
-    _Alt,
-    _dominance_filter,
-    _extend,
-    _PairNumbering,
-)
+from .cases import GenericCase, Perception, Substitution, TargetCase, Value
 from .similarity import DEFAULT_PARAMS, SimilarityParams, partial_score, scored_unify
 
 
@@ -319,6 +309,112 @@ def _argmax(per_case: dict[str, CaseOutcome], require_evaluated: bool):
 # ---------------------------------------------------------------------------
 # the tree scanner
 
+# (sorted binding, bitmask of the matched positions, bitmask of the binding's
+# pairs). Pairs are numbered once per search, so the pair mask is a function
+# of the binding. Tuples of strings and ints drop out of CPython's collector,
+# so the alternatives a long scan holds do not bring on full collections
+# inside it.
+_Pairs = tuple[tuple[str, str], ...]
+_Alt = tuple[_Pairs, int, int]
+
+
+class _PairNumbering:
+    """One bit per (label, id) pair, numbered as a search first meets it."""
+
+    def __init__(self):
+        self.bits: dict[tuple[str, str], int] = {}
+        # per label and per id, the mask of every pair numbered with it
+        self.with_label: dict[str, int] = {}
+        self.with_id: dict[str, int] = {}
+
+    def number(self, completions: list[dict[str, str]]) -> list[tuple[_Pairs, int, int]]:
+        """(pairs, pair mask, clash mask) per completion that binds no id
+        twice; the others extend no binding. The clash mask holds the pairs
+        that share a label or an id with one of the completion's own."""
+        bits, with_label, with_id = self.bits, self.with_label, self.with_id
+        out = []
+        for completion in completions:
+            pairs = tuple(completion.items())
+            if len(set(completion.values())) != len(pairs):
+                continue
+            mask = clash = 0
+            for pair in pairs:
+                bit = bits.get(pair)
+                if bit is None:
+                    bit = bits[pair] = 1 << len(bits)
+                    label, cid = pair
+                    with_label[label] = with_label.get(label, 0) | bit
+                    with_id[cid] = with_id.get(cid, 0) | bit
+                mask |= bit
+            for label, cid in pairs:
+                clash |= with_label[label] | with_id[cid]
+            out.append((pairs, mask, clash & ~mask))
+        return out
+
+
+def _extend(alts: list[_Alt], numbered, depth_bit: int, interrupted) -> list[_Alt] | None:
+    """``alts`` followed by every merge of one of them with one numbered
+    completion, matched at ``depth_bit`` too; None as soon as
+    ``interrupted()`` holds before an alternative.
+
+    A binding takes a completion exactly when it holds none of the
+    completion's clash pairs: it then stays injective and binds every label
+    once. A completion inside the binding adds nothing and reuses it."""
+    new_alts = list(alts)
+    for binding, matched, held in alts:
+        if interrupted():
+            return None
+        matched |= depth_bit
+        for pairs, mask, clash in numbered:
+            if mask & held == mask:
+                new_alts.append((binding, matched, held))
+            elif not clash & held:
+                if mask & held:
+                    pairs = tuple(pair for pair in pairs if pair not in binding)
+                new_alts.append((tuple(sorted(binding + pairs)), matched, held | mask))
+    return new_alts
+
+
+def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
+    """Drop alternatives that a less-constrained, better-matched one subsumes.
+
+    ``b`` dominates ``a`` when ``b != a`` matches a superset of ``a``'s
+    positions and binds a subset of its pairs. Kept alternatives come in
+    presorted order: most matched positions first, then fewest pairs, then
+    by (binding, matched bitmask). Returns None as soon as ``interrupted()``
+    holds before a candidate."""
+    # stable passes with int keys, so that sorting allocates no key tuples
+    alts = sorted(set(alts))
+    alts.sort(key=lambda a: len(a[0]))
+    alts.sort(key=lambda a: -a[1].bit_count())
+    # every dominator sorts before what it dominates, and dominance is
+    # transitive, so testing against the alternatives kept so far suffices.
+    # A dominator binds a subset of the candidate's pairs, so only the kept
+    # entries filed under a subset of its pair mask can dominate it; there
+    # are 2^|binding| such subsets (at most 16 on every benchmark workload).
+    kept: list[_Alt] = []
+    # pair mask -> matched masks kept with it, as a tuple: a tuple of ints
+    # drops out of the collector, a list would not
+    index: dict[int, tuple[int, ...]] = {}
+    for a in alts:
+        if interrupted():
+            return None
+        _, matched, pairs = a
+        sub = pairs
+        while True:
+            for m in index.get(sub, ()):
+                if m & matched == matched:
+                    break
+            else:
+                if sub:
+                    sub = (sub - 1) & pairs
+                    continue
+                kept.append(a)
+                index[pairs] = index.get(pairs, ()) + (matched,)
+            break
+    return kept
+
+
 def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
                    best: dict[str, tuple[float, tuple[tuple[str, str], ...]]],
                    target_size: int, alpha: float) -> None:
@@ -453,8 +549,8 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
                 cancel=None) -> RetrievalResult:
     """Classic flat retrieval: full unification case by case, in the given
     order. Each case costs as many comparisons as it has perceptions and is
-    either fully evaluated or not reached; unreached cases rank as score 0
-    and are flagged unevaluated.
+    either fully evaluated or left unevaluated, ranking as score 0: not
+    reached, or interrupted mid-search by the deadline or cancellation.
     """
     by_id = {c.id: c for c in base}
     if len(by_id) != len(base):
@@ -472,22 +568,29 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
         cid: CaseOutcome(0.0, 0, False, False, Substitution()) for cid in by_id
     }
     tests_used = 0
+    interrupted = None
+    if deadline_at is not None or cancel is not None:
+        def interrupted() -> bool:
+            return ((deadline_at is not None and time.perf_counter() >= deadline_at)
+                    or (cancel is not None and cancel.is_set()))
+
     for cid in order:
         case = by_id[cid]
         cost = len(case.perceptions)
         if budget.kind == "comparisons" and tests_used + cost > budget.max_comparisons:
             break
-        if deadline_at is not None and time.perf_counter() >= deadline_at:
-            break
-        if cancel is not None and cancel.is_set():
+        if interrupted is not None and interrupted():
             break
         try:
-            score, sub, _ = scored_unify(case, oracle.target, params)
+            scored = scored_unify(case, oracle.target, params, interrupted)
         except Exception as exc:
             raise RetrievalError(
                 f"evaluation failed on {cid}: {exc}",
                 partial=_linear_result(per_case, tests_used, start),
             ) from exc
+        if scored is None:  # interrupted mid-search: the case stays unevaluated
+            break
+        score, sub, _ = scored
         tests_used += cost
         per_case[cid] = CaseOutcome(score, cost, False, True, sub)
 

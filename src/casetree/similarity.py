@@ -45,24 +45,24 @@ def partial_score(matched_weight: float, matched_count: int, total_weight: float
 
 
 def scored_unify(source: GenericCase, target: TargetCase,
-                 params: SimilarityParams = DEFAULT_PARAMS
-                 ) -> tuple[float, Substitution, frozenset[int]]:
+                 params: SimilarityParams = DEFAULT_PARAMS, interrupted=None
+                 ) -> tuple[float, Substitution, frozenset[int]] | None:
     """Best score over all injective bindings, with the binding that won.
 
     Maximizing the full score (not just the matched weight) keeps offline
     results consistent with what an exhaustive scan converges to when a
     weight tie hides a larger matched set, or when binding a high-weight
-    perception would sacrifice more coverage than it buys.
+    perception would sacrifice more coverage than it buys. The search asks
+    ``interrupted()``, when given, at every node and returns None once it holds.
     """
     if len(target) == 0:
         raise ValueError("target case has no perceptions")
     total = source.total_weight
     size = len(target)
     alpha = params.alpha
-    value, sub, matched = _search_bindings(
-        source, target, lambda w, n: partial_score(w, n, total, size, alpha)
+    return _search_bindings(
+        source, target, lambda w, n: partial_score(w, n, total, size, alpha), interrupted
     )
-    return value, sub, frozenset(matched)
 
 
 def similarity(source: GenericCase, target: TargetCase,

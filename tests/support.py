@@ -90,49 +90,6 @@ def brute_force_similarity(source, target, alpha):
     return brute_force_optimum(source, target, alpha)[0]
 
 
-def pattern_match(p, t):
-    """The label -> id map under which source perception ``p`` reads as
-    target perception ``t``, or None when no map does."""
-    if (p.name, p.choice, len(p.values)) != (t.name, t.choice, len(t.values)):
-        return None
-    binding = {}
-    for pv, tv in zip(p.values, t.values):
-        if pv.kind == "generic":
-            if tv.kind != "concrete" or binding.setdefault(pv.name, tv.name) != tv.name:
-                return None
-        elif pv != tv:
-            return None
-    return binding
-
-
-def reference_greedy(source, target):
-    """(binding, matched index tuple) of the per-label greedy fallback.
-
-    Labels are bound in sorted order, each to the unused candidate id that
-    maximizes the weight of the perceptions whose instantiation lies in the
-    target, ties going to the smallest id; a label with an unused candidate
-    is always bound. A label's candidates are the ids it takes in some
-    source perception's match against some target perception."""
-    target_set = set(target.perceptions)
-
-    def matched_under(binding):
-        return tuple(i for i, p in enumerate(source.perceptions)
-                     if (inst := substitute(p, binding)) is not None and inst in target_set)
-
-    candidates = {label: set() for label in source.generic_labels}
-    for p in source.perceptions:
-        for t in target.perceptions:
-            for label, cid in (pattern_match(p, t) or {}).items():
-                candidates[label].add(cid)
-    binding = {}
-    for label in sorted(candidates):
-        free = sorted(candidates[label] - set(binding.values()))
-        if free:  # max keeps the first, so the smallest, of equal weights
-            binding[label] = max(free, key=lambda cid: sum(
-                source.weights[i] for i in matched_under({**binding, label: cid})))
-    return binding, matched_under(binding)
-
-
 def zero_odd_weights(case):
     """The case with every odd-indexed weight set to zero, so that scores tie."""
     return ct.GenericCase(case.id, case.perceptions,

@@ -9,12 +9,10 @@ import casetree as ct
 from casetree.similarity import scored_unify
 from support import (
     brute_force_best_weight,
+    brute_force_optimum,
     random_base,
     random_target,
-    reference_greedy,
-    restricted,
     sample_case,
-    score_of,
     xml_text_ok,
     zero_odd_weights,
 )
@@ -149,6 +147,20 @@ class TestUnify:
         # only one of A, B can take Agent.1
         assert len(matched) == 1
         assert len(sub.as_dict()) == 1
+
+    def test_completion_binding_one_id_twice_is_not_a_match(self):
+        case = ct.GenericCase("c", (P("marks", [ct.generic("A"), ct.generic("B")], True),), (1.0,))
+        t = target(P("marks", [ct.concrete("Agent.1"), ct.concrete("Agent.1")], True))
+        assert ct.unify(case, t) == (ct.Substitution(), frozenset())
+
+    def test_substitution_binds_only_labels_of_matched_perceptions(self):
+        # marks(?A, ?B) offers A -> Agent.1; B -> Agent.2 then matches only
+        # partner(?B), so the best binding must leave A unbound
+        case = ct.GenericCase("c", (P("marks", [ct.generic("A"), ct.generic("B")], True),
+                                    P("partner", [ct.generic("B")], True)), (1.0, 2.0))
+        t = target(P("partner", [ct.concrete("Agent.2")], True),
+                   P("marks", [ct.concrete("Agent.1"), ct.concrete("Agent.3")], True))
+        assert ct.unify(case, t) == (ct.Substitution((("B", "Agent.2"),)), frozenset({1}))
 
     def test_weight_tie_breaks_lexicographically(self):
         case = ct.GenericCase("c", (P("partner", [ct.generic("A")], True),), (1.0,))
@@ -292,8 +304,8 @@ class TestInvariants:
         assert got <= brute_force_best_weight(case, t) + 1e-12
 
 
-class TestLargeTargetFallback:
-    """Beyond the exact-search agent limit, binding goes greedy per label."""
+class TestLargeTargets:
+    """The binding search is exact however many agents the target holds."""
 
     def target_with(self, n_partners):
         perceptions = [P("hasball", [ct.ME], False)]
@@ -304,8 +316,8 @@ class TestLargeTargetFallback:
         )
         return target(*perceptions)
 
-    def test_greedy_result_is_still_a_valid_matching(self, case1):
-        t = self.target_with(8)  # 8 concrete agents: greedy territory
+    def test_result_is_a_valid_matching(self, case1):
+        t = self.target_with(8)
         sub, matched = ct.unify(case1, t)
         binding = sub.as_dict()
         assert len(set(binding.values())) == len(binding)
@@ -318,35 +330,47 @@ class TestLargeTargetFallback:
             )
             assert ct.Perception(p.name, values, p.choice) in tset
 
-    def test_greedy_is_deterministic(self, case1):
+    def test_is_deterministic(self, case1):
         t = self.target_with(10)
         assert ct.unify(case1, t) == ct.unify(case1, t)
 
-    def test_matches_reference_greedy(self, football_ctx):
-        # whole-pitch 8-player targets perceive 7 concrete agents, and cases
-        # sampled from another such target bind several labels
-        for seed in range(1, 13):
-            rng = random.Random(seed)
-            source_world = ct.generate_world(3000 + seed, 8)
-            source = ct.elaborate(source_world, source_world.self_id, radius=120)
-            world = ct.generate_world(2000 + seed, 8)
-            t = ct.elaborate(world, world.self_id, radius=120)
-            assert len(t.concrete_ids) >= ct.cases.EXACT_AGENT_LIMIT
-            for i in range(10):
-                sampled = sample_case(rng, source, football_ctx, f"c{i}", max_perceptions=6)
-                # zero weights leave a label with nothing to gain
-                for case in (sampled, zero_odd_weights(sampled)):
-                    binding, matched = reference_greedy(case, t)
-                    sub, matched = restricted(case, binding, matched), frozenset(matched)
-                    assert ct.unify(case, t) == (sub, matched), (seed, case.id)
-                    for alpha in (0.0, 0.5, 1.0):
-                        assert scored_unify(case, t, ct.SimilarityParams(alpha)) == (
-                            score_of(case, t, matched, alpha), sub, matched), (seed, case.id)
+    def test_exact_at_every_agent_count(self, case1):
+        # the binding that also matches the distance perception must win
+        for n_partners in (4, 5, 8, 21):
+            sub, matched = ct.unify(case1, self.target_with(n_partners))
+            assert matched == frozenset({0, 1, 2})
+            assert sub.as_dict() == {"A": f"Agent.{n_partners}"}
 
-    def test_exact_regime_boundary(self, case1):
-        # five concrete agents still use the exact search: the binding that
-        # also matches the distance perception must win
-        t = self.target_with(4)
-        sub, matched = ct.unify(case1, t)
-        assert len(matched) == 3
-        assert sub.as_dict() == {"A": "Agent.4"}
+    def test_joint_binding_beats_label_by_label(self):
+        # every partner matches partner(?A) alike, but only Agent.7 leaves
+        # marks(?A, ?B) matchable: binding A before looking at B loses it
+        t = target(*[P("partner", [ct.concrete(f"Agent.{i}")], True) for i in range(1, 8)],
+                   P("marks", [ct.concrete("Agent.7"), ct.concrete("Agent.3")], True))
+        case = ct.GenericCase("c", (P("partner", [ct.generic("A")], True),
+                                    P("marks", [ct.generic("A"), ct.generic("B")], True)),
+                              (1.0, 1.0))
+        sub, matched = ct.unify(case, t)
+        assert (sub.as_dict(), matched) == ({"A": "Agent.7", "B": "Agent.3"}, frozenset({0, 1}))
+
+    @given(st.integers(0, 10_000), st.sampled_from(range(8, 23, 2)), st.booleans(),
+           st.sampled_from((0.0, 0.5)))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_brute_force_at_many_agents(self, football_ctx, seed, players, zero,
+                                                alpha):
+        # whole-pitch targets perceive every other player; the cases come from
+        # another such world, and zero weights make exact score ties common
+        world = ct.generate_world(seed, players)
+        t = ct.elaborate(world, world.self_id, radius=120)
+        source_world = ct.generate_world(seed + 1, players)
+        source = ct.elaborate(source_world, source_world.self_id, radius=120)
+        rng = random.Random(seed)
+        case = sample_case(rng, source, football_ctx, "c", max_perceptions=4)
+        while len(case.generic_labels) > 3:
+            case = sample_case(rng, source, football_ctx, "c", max_perceptions=4)
+        if zero:
+            case = zero_odd_weights(case)
+        score, sub, matched = scored_unify(case, t, ct.SimilarityParams(alpha))
+        want_score, want_sub, want_matched = brute_force_optimum(case, t, alpha)
+        assert score == pytest.approx(want_score, abs=1e-12)
+        assert sub == want_sub
+        assert matched == frozenset(want_matched)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.cases import _dominance_filter, _extend, _PairNumbering
+from casetree.retrieval import _dominance_filter, _extend, _PairNumbering
 from support import brute_force_similarity, random_base, random_target, zero_odd_weights
 
 
@@ -467,3 +467,54 @@ class TestScanLinear:
         cases, _ = three_case_base
         r = ct.scan_linear(cases, ct.TargetOracle(exact_case1_target))
         assert r.tests_used == ct.linear_perception_count(cases)
+
+    @pytest.mark.parametrize("stop", ["cancel", "deadline"])
+    def test_interrupt_mid_case_leaves_it_unevaluated(self, monkeypatch, stop):
+        # one check before each case and one at every node of its search; a
+        # stop at check k leaves every case from the one holding it unevaluated
+        world = ct.generate_world(8, 8)
+        oracle = ct.TargetOracle(ct.elaborate(world, world.self_id, radius=120))
+        cases = random_base(4, 5, max_players=8)
+        full = ct.scan_linear(cases, oracle)
+
+        class Counting:
+            """A cancel flag that reads set from its ``k``-th check on."""
+
+            def __init__(self, k=float("inf")):
+                self.k, self.checks = k, 0
+
+            def is_set(self):
+                self.checks += 1
+                return self.checks >= self.k
+
+        class Clock:
+            """Stands in for ``time`` in the scan: each reading is 1 s later."""
+
+            def __init__(self):
+                self.now = 0.0
+
+            def perf_counter(self):
+                self.now += 1.0
+                return self.now
+
+        ends = []  # per case, the checks asked up to the end of its search
+        for i in range(1, len(cases) + 1):
+            counting = Counting()
+            ct.scan_linear(cases[:i], oracle, cancel=counting)
+            ends.append(counting.checks)
+        nodes = [b - a - 1 for a, b in zip([0] + ends, ends)]
+        assert min(nodes) >= 1 and max(nodes) >= 10  # some stops fall deep in a search
+        for k in range(1, ends[-1] + 1):
+            if stop == "cancel":
+                r = ct.scan_linear(cases, oracle, cancel=Counting(k))
+            else:  # the deadline passes at the k-th reading after the start
+                monkeypatch.setattr(ct.retrieval, "time", Clock())
+                r = ct.scan_linear(cases, oracle, ct.ScanBudget.deadline(k))
+                monkeypatch.undo()
+            done = sum(1 for end in ends if end < k)  # the cases finished
+            for case in cases[:done]:
+                assert r.per_case[case.id] == full.per_case[case.id]
+            for case in cases[done:]:
+                assert r.per_case[case.id] == ct.CaseOutcome(0.0, 0, False, False,
+                                                             ct.Substitution())
+            assert r.tests_used == sum(len(case.perceptions) for case in cases[:done])
