@@ -30,18 +30,19 @@ carries the decision attached to the case.
 
 Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every way a perception pattern can be bound so that it occurs in the
-target. ``_search_bindings``, behind ``unify`` and ``similarity.scored_unify``,
-finds a case's best injective binding by a bounded depth-first search over
-those completions: it is exact at every agent count and can be interrupted at
-every search node. ``retrieval.scan_tree`` folds the same completions along
-every tree branch.
+target. ``_search_bindings`` finds a case's best injective binding by a
+bounded depth-first search over those completions: it is exact at every agent
+count and can be interrupted at every search node. ``unify`` and
+``similarity.scored_unify`` run it over every perception of a case;
+``retrieval.scan_tree`` runs it for each case below a tested arc, over the
+completions its tree branch has tested so far.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from xml.sax.saxutils import escape
 
 from .context import Context, ContextError, Violation, validate_perception, xml_attribute
@@ -232,8 +233,21 @@ EMPTY_SUBSTITUTION = Substitution()
 # ---------------------------------------------------------------------------
 # unification
 
-def _search_bindings(source: GenericCase, target: TargetCase, objective, interrupted=None):
+def _injective_rows(completions: list[dict[str, str]]) -> list[tuple[str, ...]]:
+    """Completions as rows of ids in their sorted label order, less those that
+    bind one id to two labels: such a completion extends no binding."""
+    rows = [tuple(c.values()) for c in completions]
+    if rows and len(rows[0]) > 1:
+        rows = [row for row in rows if len(set(row)) == len(row)]
+    return rows
+
+
+def _search_bindings(weights, perceptions, objective, interrupted=None):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
+
+    ``perceptions`` holds (index into ``weights``, generic labels in sorted
+    order, rows of ids binding those labels, none binding one id twice) per
+    perception that may match; the others never match.
 
     A bounded depth-first search decides the generic labels in sorted order.
     A node first offers its binding as a candidate, unless its parent already
@@ -241,44 +255,45 @@ def _search_bindings(source: GenericCase, target: TargetCase, objective, interru
     order, and last leaves the label unbound. Candidates therefore come in the
     lexicographic order of their (label, id) pairs, so a node is cut as soon
     as its bound cannot beat the incumbent, and the least binding among the
-    optima still wins, as in ``retrieval.scan_tree``. A candidate counts only
-    when each label it binds occurs in a perception it matches: it is then
-    the restricted substitution, matching every perception it can.
+    optima wins. A candidate counts only when each label it binds occurs in a
+    perception it matches: it is then the restricted substitution, matching
+    every perception it can.
 
-    Each undecided perception keeps as its domain the completions that agree
-    with the labels decided so far and give no other label a bound id
-    (forward checking); a node's bound adds every one whose domain is not
-    empty to the matched perceptions. Weights are summed in ascending perception order, for
+    Each undecided perception keeps as its domain the rows that agree with
+    the labels decided so far and give no other label a bound id (forward
+    checking); a node's bound adds every one whose domain is not empty to the
+    matched perceptions. Weights are summed in ascending index order, for
     candidates and bounds alike, so rounding cannot put a bound below a
     candidate under it; ``objective`` must not decrease in either argument.
-    Returns (best_value, Substitution, frozenset of matched indices), or None
-    as soon as ``interrupted()`` holds at a node.
+    Returns (best_value, sorted (label, id) pairs, bitmask of the matched
+    indices), or None as soon as ``interrupted()`` holds at a node.
     """
-    weights = source.weights
-    labels = sorted(source.generic_labels)
+    labels = sorted({label for _, own, rows in perceptions if rows for label in own})
     rank = {label: r for r, label in enumerate(labels)}
     matched = 0  # bitmask of the matched perceptions
     # per undecided perception: its bit, the ranks of its labels in ascending
     # order, the position of its next undecided label, its domain as rows of
     # ids in the same order, and the bitmask of its label ranks
     live = []
-    for i, p in enumerate(source.perceptions):
-        own = sorted(rank[label] for label in p.generic_labels)
-        # completions hold their labels in sorted order, which is rank order;
-        # those that bind one id to two labels are dropped
-        rows = [tuple(c.values()) for c in target.completions(p.name, p.values, p.choice)]
-        domain = rows if len(own) < 2 else [row for row in rows if len(set(row)) == len(row)]
-        if domain and not own:
+    for i, own, rows in perceptions:
+        if rows and not own:
             matched |= 1 << i
-        elif domain:
-            live.append((1 << i, own, 0, domain, sum(1 << r for r in own)))
+        elif rows:
+            ranks = [rank[label] for label in own]
+            live.append((1 << i, ranks, 0, rows, sum(1 << r for r in ranks)))
 
-    @cache
+    values: dict[int, float] = {}
+
     def value(mask: int) -> float:
-        w, indices = 0.0, [i for i in range(len(weights)) if mask >> i & 1]
-        for i in indices:
-            w += weights[i]
-        return objective(w, len(indices))
+        found = values.get(mask)
+        if found is None:
+            w, n = 0.0, 0
+            for i in range(mask.bit_length()):
+                if mask >> i & 1:
+                    w += weights[i]
+                    n += 1
+            found = values[mask] = objective(w, n)
+        return found
 
     best = value(matched), (), matched
     # nodes still to visit, the next one last: (rank of the next label to
@@ -315,9 +330,23 @@ def _search_bindings(source: GenericCase, target: TargetCase, objective, interru
                     now_covered, now_matched = now_covered | ranks, now_matched | bit
             stack.append((r + 1, pairs + ((labels[r], cid),), held | 1 << r, now_covered,
                           now_matched, grown, True))
-    best_value, pairs, matched = best
-    return best_value, Substitution(pairs), frozenset(i for i in range(len(weights))
-                                                       if matched >> i & 1)
+    return best
+
+
+def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None):
+    """``_search_bindings`` over every perception of ``source`` against
+    ``target``: (best_value, Substitution, frozenset of matched indices), or
+    None once ``interrupted()`` holds."""
+    found = _search_bindings(source.weights, [
+        (i, sorted(p.generic_labels),
+         _injective_rows(target.completions(p.name, p.values, p.choice)))
+        for i, p in enumerate(source.perceptions)
+    ], objective, interrupted)
+    if found is None:
+        return None
+    best_value, pairs, matched = found
+    return best_value, Substitution(pairs), frozenset(
+        i for i in range(matched.bit_length()) if matched >> i & 1)
 
 
 def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozenset[int]]:
@@ -327,7 +356,7 @@ def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozen
     use) and the matched indices into ``source.perceptions``. Both are empty
     when nothing matches.
     """
-    _, sub, matched = _search_bindings(source, target, lambda w, n: w)
+    _, sub, matched = _unify(source, target, lambda w, n: w)
     return sub, matched
 
 

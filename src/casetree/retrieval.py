@@ -9,39 +9,41 @@ memory saving and the shared query work come from.
 
 Retrieval scans the tree breadth first under a budget. Each arc test costs
 one comparison and asks the oracle for every way the node's free generic
-agents can be bound so that the tested value holds; bindings accumulate
-along a branch and constrain deeper tests, and branches never share
-bindings. Every case therefore has a usable partial score at any
-interruption point. When pruning is on, a test contradicted under every
-candidate binding abandons the branch and freezes the scores of the cases
-below it; with pruning off the scan keeps walking and converges to the
-offline similarity of every case.
+agents can be bound so that the tested value holds. The tree shares oracle
+calls, as a Rete alpha memory does: an arc's completions are asked once and
+kept along its branch for every case below. After each arc that is not
+contradicted, every case below it is scored by the exact binding search over
+the completions of its tested branch positions, so every case has a usable
+partial score at any interruption point. An arc is contradicted exactly when
+no completion binds distinct ids; when pruning is on, that abandons the
+branch and freezes the scores of the cases below it, and with pruning off the
+scan keeps walking and converges to the offline similarity of every case.
 
-The oracle's matcher is ``TargetCase.completions``; the binding core below
-merges and filters a branch's alternatives. The linear baseline scores each
-case with ``similarity.scored_unify``, an exact bounded search over the same
-completions at every agent count, so the two engines differ only in how they
-share work.
+The oracle's matcher is ``TargetCase.completions`` and the scorer is
+``cases._search_bindings``. The linear baseline scores each case with
+``similarity.scored_unify``, the same search over the same completions, so
+the two engines differ only in how they share work.
 
 Budgets are observed before every test: a comparison budget caps the used
 count exactly, and a deadline or external cancellation stops the scan before
-its next oracle call. Deadline and cancellation are also observed for every
-alternative while a test's bindings are merged and filtered, so a deadline
-is overrun by one oracle call, one alternative's work and one arc's score
-updates at most; an arc interrupted before its score updates counts as used
-but changes no case. Scores are updated as each arc is tested, so an
-interrupted scan only assembles its result. The linear scan observes deadline
-and cancellation at every node of a case's search as well.
+its next oracle call. Both engines also observe deadline and cancellation at
+every node of every search, so a tree scan overruns a deadline by one oracle
+call plus one search node at most. An arc's scores are committed only once
+every case below it is searched, so an arc interrupted in its searches counts
+as used but changes no case, and an interrupted scan only assembles its
+result.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cases import GenericCase, Perception, Substitution, TargetCase, Value
+from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _injective_rows,
+                    _search_bindings)
 from .similarity import DEFAULT_PARAMS, SimilarityParams, partial_score, scored_unify
 
 
@@ -224,10 +226,12 @@ class ScanBudget:
     def __post_init__(self):
         if self.kind not in ("unbounded", "comparisons", "deadline"):
             raise ValueError(f"unknown budget kind {self.kind!r}")
-        if self.kind == "comparisons" and self.max_comparisons < 0:
-            raise ValueError("comparison budget must be >= 0")
-        if self.kind == "deadline" and self.seconds <= 0:
-            raise ValueError("deadline must be positive")
+        n = self.max_comparisons
+        if self.kind == "comparisons" and (isinstance(n, bool) or not isinstance(n, int)
+                                           or n < 0):
+            raise ValueError(f"comparison budget must be an int >= 0, got {n!r}")
+        if self.kind == "deadline" and not 0.0 < self.seconds < math.inf:
+            raise ValueError(f"deadline must be finite and positive, got {self.seconds}")
 
     @classmethod
     def comparisons(cls, n: int) -> "ScanBudget":
@@ -309,154 +313,6 @@ def _argmax(per_case: dict[str, CaseOutcome], require_evaluated: bool):
 # ---------------------------------------------------------------------------
 # the tree scanner
 
-# (sorted binding, bitmask of the matched positions, bitmask of the binding's
-# pairs). Pairs are numbered once per search, so the pair mask is a function
-# of the binding. Tuples of strings and ints drop out of CPython's collector,
-# so the alternatives a long scan holds do not bring on full collections
-# inside it.
-_Pairs = tuple[tuple[str, str], ...]
-_Alt = tuple[_Pairs, int, int]
-
-
-class _PairNumbering:
-    """One bit per (label, id) pair, numbered as a search first meets it."""
-
-    def __init__(self):
-        self.bits: dict[tuple[str, str], int] = {}
-        # per label and per id, the mask of every pair numbered with it
-        self.with_label: dict[str, int] = {}
-        self.with_id: dict[str, int] = {}
-
-    def number(self, completions: list[dict[str, str]]) -> list[tuple[_Pairs, int, int]]:
-        """(pairs, pair mask, clash mask) per completion that binds no id
-        twice; the others extend no binding. The clash mask holds the pairs
-        that share a label or an id with one of the completion's own."""
-        bits, with_label, with_id = self.bits, self.with_label, self.with_id
-        out = []
-        for completion in completions:
-            pairs = tuple(completion.items())
-            if len(set(completion.values())) != len(pairs):
-                continue
-            mask = clash = 0
-            for pair in pairs:
-                bit = bits.get(pair)
-                if bit is None:
-                    bit = bits[pair] = 1 << len(bits)
-                    label, cid = pair
-                    with_label[label] = with_label.get(label, 0) | bit
-                    with_id[cid] = with_id.get(cid, 0) | bit
-                mask |= bit
-            for label, cid in pairs:
-                clash |= with_label[label] | with_id[cid]
-            out.append((pairs, mask, clash & ~mask))
-        return out
-
-
-def _extend(alts: list[_Alt], numbered, depth_bit: int, interrupted) -> list[_Alt] | None:
-    """``alts`` followed by every merge of one of them with one numbered
-    completion, matched at ``depth_bit`` too; None as soon as
-    ``interrupted()`` holds before an alternative.
-
-    A binding takes a completion exactly when it holds none of the
-    completion's clash pairs: it then stays injective and binds every label
-    once. A completion inside the binding adds nothing and reuses it."""
-    new_alts = list(alts)
-    for binding, matched, held in alts:
-        if interrupted():
-            return None
-        matched |= depth_bit
-        for pairs, mask, clash in numbered:
-            if mask & held == mask:
-                new_alts.append((binding, matched, held))
-            elif not clash & held:
-                if mask & held:
-                    pairs = tuple(pair for pair in pairs if pair not in binding)
-                new_alts.append((tuple(sorted(binding + pairs)), matched, held | mask))
-    return new_alts
-
-
-def _dominance_filter(alts: list[_Alt], interrupted) -> list[_Alt] | None:
-    """Drop alternatives that a less-constrained, better-matched one subsumes.
-
-    ``b`` dominates ``a`` when ``b != a`` matches a superset of ``a``'s
-    positions and binds a subset of its pairs. Kept alternatives come in
-    presorted order: most matched positions first, then fewest pairs, then
-    by (binding, matched bitmask). Returns None as soon as ``interrupted()``
-    holds before a candidate."""
-    # stable passes with int keys, so that sorting allocates no key tuples
-    alts = sorted(set(alts))
-    alts.sort(key=lambda a: len(a[0]))
-    alts.sort(key=lambda a: -a[1].bit_count())
-    # every dominator sorts before what it dominates, and dominance is
-    # transitive, so testing against the alternatives kept so far suffices.
-    # A dominator binds a subset of the candidate's pairs, so only the kept
-    # entries filed under a subset of its pair mask can dominate it; there
-    # are 2^|binding| such subsets (at most 16 on every benchmark workload).
-    kept: list[_Alt] = []
-    # pair mask -> matched masks kept with it, as a tuple: a tuple of ints
-    # drops out of the collector, a list would not
-    index: dict[int, tuple[int, ...]] = {}
-    for a in alts:
-        if interrupted():
-            return None
-        _, matched, pairs = a
-        sub = pairs
-        while True:
-            for m in index.get(sub, ()):
-                if m & matched == matched:
-                    break
-            else:
-                if sub:
-                    sub = (sub - 1) & pairs
-                    continue
-                kept.append(a)
-                index[pairs] = index.get(pairs, ()) + (matched,)
-            break
-    return kept
-
-
-def _update_scores(tree: CaseTree, arc: Arc, alts: list[_Alt],
-                   best: dict[str, tuple[float, tuple[tuple[str, str], ...]]],
-                   target_size: int, alpha: float) -> None:
-    """Raise every case below ``arc`` to its best score over ``alts``.
-
-    Alternatives with the same matched set score alike, so each case sums its
-    weights once per matched set, in ascending perception order. A binding is
-    restricted to the labels its matched perceptions use only when its score
-    reaches the case's best; exact ties keep the least restricted binding.
-    """
-    bindings: dict[int, list[tuple[tuple[str, str], ...]]] = {}
-    for binding, matched, _ in alts:
-        bindings.setdefault(matched, []).append(binding)
-    positions = {matched: [p for p in range(matched.bit_length()) if matched >> p & 1]
-                 for matched in bindings}
-    # every case below the arc shares the branch down to it
-    path = tree.paths[next(iter(arc.below))]
-    least: dict[int, tuple[tuple[str, str], ...]] = {}
-
-    def least_restricted(matched: int) -> tuple[tuple[str, str], ...]:
-        if matched not in least:
-            used = set().union(*(path[p].node.generic_labels for p in positions[matched]))
-            least[matched] = min(tuple(pair for pair in binding if pair[0] in used)
-                                 for binding in bindings[matched])
-        return least[matched]
-
-    for cid in arc.below:
-        case = tree.cases[cid]
-        order, weights, total = tree.order[cid], case.weights, case.total_weight
-        score, pairs = best[cid]
-        for matched, matched_at in positions.items():
-            w = 0.0
-            for i in sorted(order[p] for p in matched_at):
-                w += weights[i]
-            value = partial_score(w, len(matched_at), total, target_size, alpha)
-            if value > score:
-                score, pairs = value, least_restricted(matched)
-            elif value == score:
-                pairs = min(pairs, least_restricted(matched))
-        best[cid] = (score, pairs)
-
-
 def scan_tree(tree: CaseTree, oracle: TargetOracle,
               budget: ScanBudget = UNBOUNDED,
               params: SimilarityParams = DEFAULT_PARAMS,
@@ -474,15 +330,18 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     start = time.perf_counter()
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
     deadline_at = start + budget.seconds if budget.kind == "deadline" else None
+    size, alpha = oracle.size, params.alpha
     # per case: best score with its restricted binding pairs, tests scanned, pruned
     best = dict.fromkeys(tree.cases, (0.0, ()))
     scanned = dict.fromkeys(tree.cases, 0)
     pruned: set[str] = set()
     tests_used = 0
 
-    def interrupted() -> bool:
-        return ((deadline_at is not None and time.perf_counter() >= deadline_at)
-                or (cancel is not None and cancel.is_set()))
+    interrupted = None
+    if deadline_at is not None or cancel is not None:
+        def interrupted() -> bool:
+            return ((deadline_at is not None and time.perf_counter() >= deadline_at)
+                    or (cancel is not None and cancel.is_set()))
 
     def result() -> RetrievalResult:
         per_case = {
@@ -499,15 +358,15 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             elapsed_us=int((time.perf_counter() - start) * 1_000_000),
         )
 
-    numbering = _PairNumbering()
-    root_alts: list[_Alt] = [((), 0, 0)]
-    queue: deque[tuple[TreeNode, list[_Alt]]] = deque(
-        (node, root_alts) for node in tree.root.nodes
-    )
+    # per branch position tested and not contradicted: (its depth, its node's
+    # generic labels in sorted order, its completions as injective rows), shared
+    # by every case below
+    queue: deque[tuple[TreeNode, tuple]] = deque((node, ()) for node in tree.root.nodes)
     while queue:
-        node, alts = queue.popleft()
+        node, tested = queue.popleft()
+        labels = sorted(node.generic_labels)
         for arc in node.arcs:
-            if tests_used == limit or interrupted():
+            if tests_used == limit or (interrupted is not None and interrupted()):
                 return result()
             tests_used += 1
             try:
@@ -517,24 +376,30 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                     f"oracle failed at {node.label()}=[{arc.test}]: {exc}",
                     partial=result(),
                 ) from exc
-            new_alts = _extend(alts, numbering.number(completions), 1 << node.depth,
-                               interrupted)
-            if new_alts is None:
-                return result()
-            contradicted = len(new_alts) == len(alts)  # no alternative satisfies the test
-            if contradicted:
-                child_alts = alts
-            else:
-                child_alts = _dominance_filter(new_alts, interrupted)
-                if child_alts is None:
-                    return result()
-                _update_scores(tree, arc, child_alts, best, oracle.size, params.alpha)
+            rows = _injective_rows(completions)
+            child_tested = tested
+            if rows:  # not contradicted: score every case below, then commit
+                child_tested = tested + ((node.depth, labels, rows),)
+                scores = {}
+                for cid in arc.below:
+                    order, case = tree.order[cid], tree.cases[cid]
+                    total = case.total_weight
+                    found = _search_bindings(
+                        case.weights,
+                        [(order[depth], own, domain) for depth, own, domain in child_tested],
+                        lambda w, n: partial_score(w, n, total, size, alpha),
+                        interrupted,
+                    )
+                    if found is None:
+                        return result()
+                    scores[cid] = found[:2]
+                best.update(scores)
             for cid in arc.below:
                 scanned[cid] += 1
-            if contradicted and prune:
+            if not rows and prune:
                 pruned.update(arc.below)
             else:
-                queue.extend((child, child_alts) for child in arc.child.nodes)
+                queue.extend((child, child_tested) for child in arc.child.nodes)
 
     return result()
 

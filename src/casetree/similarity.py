@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cases import GenericCase, Substitution, TargetCase, _search_bindings
+from .cases import GenericCase, Substitution, TargetCase, _unify
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def scored_unify(source: GenericCase, target: TargetCase,
     total = source.total_weight
     size = len(target)
     alpha = params.alpha
-    return _search_bindings(
+    return _unify(
         source, target, lambda w, n: partial_score(w, n, total, size, alpha), interrupted
     )
 

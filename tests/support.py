@@ -36,16 +36,21 @@ def all_bindings(labels, concrete_ids):
         yield dict(zip(labels, assignment))
 
 
-def brute_force_matches(source, target):
-    """All (matched index tuple, binding) pairs over every injective binding."""
+def brute_force_matches(source, target, allowed=None):
+    """All (matched index tuple, binding) pairs over every injective binding of
+    the labels of the perceptions at ``allowed`` indices (default: all), only
+    those perceptions counting as matchable."""
     target_set = set(target.perceptions)
-    labels = source.generic_labels
+    indices = sorted(range(len(source.perceptions)) if allowed is None else allowed)
+    labels = tuple(dict.fromkeys(label for i in indices
+                                 for label in source.perceptions[i].generic_labels))
     ids = sorted({v.name for p in target.perceptions for v in p.values
                   if v.kind == "concrete"})
     for binding in all_bindings(labels, ids):
         matched = tuple(
-            i for i, p in enumerate(source.perceptions)
-            if (inst := substitute(p, binding)) is not None and inst in target_set
+            i for i in indices
+            if (inst := substitute(source.perceptions[i], binding)) is not None
+            and inst in target_set
         )
         yield matched, binding
 
@@ -71,12 +76,14 @@ def restricted(source, binding, matched):
     return ct.Substitution(tuple(pair for pair in binding.items() if pair[0] in used))
 
 
-def brute_force_optimum(source, target, alpha):
+def brute_force_optimum(source, target, alpha, allowed=None):
     """(score, substitution, matched index tuple) of the best binding: the
     maximum of the full scoring expression over all injective bindings, and
-    among the bindings reaching it the least restricted substitution."""
+    among the bindings reaching it the least restricted substitution. Only the
+    perceptions at ``allowed`` indices (default: all) can match; the score
+    still divides by the whole case's total weight."""
     best = None
-    for matched, binding in brute_force_matches(source, target):
+    for matched, binding in brute_force_matches(source, target, allowed):
         candidate = (score_of(source, target, matched, alpha),
                      restricted(source, binding, matched), matched)
         if best is None or candidate[0] > best[0] or (

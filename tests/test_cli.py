@@ -137,6 +137,7 @@ class TestRetrieve:
         (["--self", "Agent.99"], "observer 'Agent.99' is not a player"),
         (["--radius", "nan"], "radius"),
         (["--radius", "-5"], "radius"),
+        (["--deadline-ms", "nan"], "deadline"),
     ])
     def test_bad_observer_or_radius_is_validation_failure(self, paths, capsys, flags,
                                                            message):

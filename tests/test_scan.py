@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.retrieval import _dominance_filter, _extend, _PairNumbering
-from support import brute_force_similarity, random_base, random_target, zero_odd_weights
+from support import (brute_force_optimum, brute_force_similarity, random_base, random_target,
+                     substitute, zero_odd_weights)
 
 
 @pytest.fixture()
@@ -259,142 +259,89 @@ class TestScanTree:
                 assert r.per_case[case.id].score == pytest.approx(
                     brute_force_similarity(case, target, 0.5), abs=1e-9), (seed, case.id)
 
+    @given(st.integers(0, 10_000), st.sampled_from(range(8, 23, 2)), st.booleans(),
+           st.booleans(), st.sampled_from((0.0, 0.5, 1.0)), st.integers(0, 60))
+    @settings(max_examples=20, deadline=None)
+    def test_anytime_scores_match_brute_force_over_scanned_prefix(
+            self, seed, players, zero, prune, alpha, budget):
+        # whole-pitch targets perceive every other player; zero weights and
+        # alpha 0 make exact score ties common
+        base = [c for c in random_base(seed % 50, 8, max_players=8, max_perceptions=4)
+                if len(c.generic_labels) <= 3]
+        if zero:
+            base = [zero_odd_weights(c) for c in base]
+        world = ct.generate_world(seed, players)
+        target = ct.elaborate(world, world.self_id, radius=120)
+        tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
+        r = ct.scan_tree(tree, ct.TargetOracle(target), ct.ScanBudget.comparisons(budget),
+                         ct.SimilarityParams(alpha), prune=prune)
+        for case in base:
+            oc = r.per_case[case.id]
+            allowed = tree.order[case.id][:oc.scanned]
+            want_score, want_sub, want_matched = brute_force_optimum(case, target, alpha,
+                                                                     allowed)
+            assert oc.score == pytest.approx(want_score, abs=1e-12), case.id
+            assert oc.substitution == want_sub, case.id
+            binding = oc.substitution.as_dict()
+            matched = tuple(i for i in sorted(allowed)
+                            if substitute(case.perceptions[i], binding) in target.perception_set)
+            assert matched == want_matched, case.id
 
-LABELS = ("A", "B", "C", "D")
-AGENTS = ("Agent.1", "Agent.2", "Agent.3", "Agent.4")
+    @pytest.mark.parametrize("stop", ["cancel", "deadline"])
+    def test_interrupt_inside_an_arc_changes_no_case(self, monkeypatch, stop):
+        # one check before each oracle test and one at every node of each
+        # search below a tested arc; a stop inside an arc's searches leaves
+        # every case where the arcs before it left them, with the arc counted
+        world = ct.generate_world(8, 8)
+        target = ct.elaborate(world, world.self_id, radius=120)
+        tree = ct.build_tree(random_base(4, 5, max_players=8), ct.FOOTBALL_PRIORITY)
 
+        class Counting:
+            """A cancel flag that reads set from its ``k``-th check on."""
 
-def with_pair_masks(alts):
-    """Attach each binding's pair mask, numbering pairs as they first occur."""
-    bits = {}
-    return [(binding, matched,
-             sum(bits.setdefault(pair, 1 << len(bits)) for pair in binding))
-            for binding, matched in alts]
+            def __init__(self, k=float("inf")):
+                self.k, self.checks = k, 0
 
+            def is_set(self):
+                self.checks += 1
+                return self.checks >= self.k
 
-@st.composite
-def alternative_lists(draw):
-    """(sorted binding, matched-position bitmask, pair bitmask) lists with
-    repeats, shared matched sets and nested bindings."""
-    bindings = st.dictionaries(st.sampled_from(LABELS), st.sampled_from(AGENTS))
-    positions = st.integers(0, 0b11111)
-    alts = [(tuple(sorted(b.items())), m)
-            for b, m in draw(st.lists(st.tuples(bindings, positions), max_size=10))]
-    for _ in range(draw(st.integers(0, 10)) if alts else 0):
-        binding, matched = draw(st.sampled_from(alts))
-        kind = draw(st.sampled_from(("repeat", "fewer pairs", "more positions",
-                                     "same positions")))
-        if kind == "fewer pairs":
-            binding = tuple(pair for pair in binding if draw(st.booleans()))
-        elif kind == "more positions":
-            matched = matched | draw(positions)
-        elif kind == "same positions":
-            binding = tuple(sorted(draw(bindings).items()))
-        alts.append((binding, matched))
-    return with_pair_masks(draw(st.permutations(alts)))
+        class Clock:
+            """Stands in for ``time`` in the scan: each reading is 1 s later."""
 
+            def __init__(self):
+                self.now = 0.0
 
-def matched_positions(mask):
-    return {p for p in range(5) if mask >> p & 1}
+            def perf_counter(self):
+                self.now += 1.0
+                return self.now
 
+        before_test = []  # the number of the check asked before each oracle test
+        counting = Counting()
 
-def reference_filter(alts):
-    """Quadratic definition: keep each distinct alternative that no other one
-    dominates (a superset of its matched positions, a subset of its pairs)."""
-    unique = set(alts)
-    kept = [a for a in unique
-            if not any(b != a and matched_positions(b[1]) >= matched_positions(a[1])
-                       and set(b[0]) <= set(a[0]) for b in unique)]
-    return sorted(kept, key=lambda a: (-len(matched_positions(a[1])), len(a[0]), a[0], a[1]))
+        class Recording(ct.TargetOracle):
+            def completions(self, name, values, desired):
+                before_test.append(counting.checks)
+                return super().completions(name, values, desired)
 
-
-class TestDominanceFilter:
-    @settings(max_examples=300, deadline=None)
-    @given(alternative_lists())
-    def test_matches_quadratic_reference(self, alts):
-        assert _dominance_filter(alts, lambda: False) == reference_filter(alts)
-
-    @settings(max_examples=100, deadline=None)
-    @given(alternative_lists(), st.integers(1, 25))
-    def test_interrupt_before_candidate_k_returns_none(self, alts, k):
-        calls = 0
-
-        def interrupted():
-            nonlocal calls
-            calls += 1
-            return calls >= k
-
-        got = _dominance_filter(alts, interrupted)
-        if k <= len(set(alts)):
-            assert got is None and calls == k
-        else:
-            assert got == reference_filter(alts) and calls == len(set(alts))
-
-
-injective_bindings = st.lists(st.sampled_from(AGENTS), max_size=len(LABELS),
-                              unique=True).flatmap(
-    lambda ids: st.permutations(LABELS).map(lambda labels: dict(zip(labels, ids))))
-
-
-def reference_merge(binding, completion):
-    """The merged binding as a sorted tuple, or None when a label would be
-    bound twice or one id would bind two labels."""
-    merged = dict(binding)
-    for label, cid in completion.items():
-        if merged.setdefault(label, cid) != cid:
-            return None
-    if len(set(merged.values())) != len(merged):
-        return None
-    return tuple(sorted(merged.items()))
-
-
-class TestExtend:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(injective_bindings, st.integers(0, 0b1111)), max_size=6),
-           st.lists(st.dictionaries(st.sampled_from(LABELS), st.sampled_from(AGENTS)),
-                    max_size=6),
-           st.integers(0, 4))
-    def test_matches_dict_reference(self, alts, completions, depth):
-        # completions may clash on a label or an id with a binding, bind only
-        # some labels, bind labels a binding already holds, or bind one id
-        # twice; the alternatives' pairs are numbered first, as earlier arcs
-        # of a scan would have
-        numbering = _PairNumbering()
-        numbering.number([binding for binding, _ in alts])
-        numbered = numbering.number(completions)
-
-        def mask(binding):
-            return sum(numbering.bits[pair] for pair in binding)
-
-        alts = [(tuple(sorted(b.items())), m, mask(b.items())) for b, m in alts]
-        expected, reused = list(alts), []
-        for binding, matched, _ in alts:
-            for completion in completions:
-                merged = reference_merge(binding, completion)
-                if merged is not None:
-                    expected.append((merged, matched | 1 << depth, mask(merged)))
-                    reused.append(binding if merged == binding else None)
-        got = _extend(alts, numbered, 1 << depth, lambda: False)
-        assert got == expected
-        # a completion that binds nothing new reuses the binding itself
-        for alt, binding in zip(got[len(alts):], reused):
-            assert binding is None or alt[0] is binding
-
-    def test_interrupt_before_each_alternative(self):
-        numbering = _PairNumbering()
-        numbering.number([{"B": "Agent.2"}])
-        numbered = numbering.number([{"A": "Agent.1"}])
-        alts = [((), 0, 0), ((("B", "Agent.2"),), 1, 1)]
-        calls = 0
-
-        def interrupted():
-            nonlocal calls
-            calls += 1
-            return calls == 2
-
-        assert _extend(alts, numbered, 2, interrupted) is None and calls == 2
-        assert _extend(alts, numbered, 2, lambda: False) == alts + [
-            ((("A", "Agent.1"),), 2, 2), ((("A", "Agent.1"), ("B", "Agent.2")), 3, 3)]
+        full = ct.scan_tree(tree, Recording(target), cancel=counting)
+        total = counting.checks
+        searched = [b - a - 1 for a, b in zip(before_test, before_test[1:] + [total + 1])]
+        assert max(searched) >= 10  # some stops fall deep inside a search
+        oracle = ct.TargetOracle(target)
+        partial = {n: ct.scan_tree(tree, oracle, ct.ScanBudget.comparisons(n)).per_case
+                   for n in range(full.tests_used + 1)}
+        for k in range(1, total + 1):
+            if stop == "cancel":
+                r = ct.scan_tree(tree, oracle, cancel=Counting(k))
+            else:  # the deadline passes at the k-th reading after the start
+                monkeypatch.setattr(ct.retrieval, "time", Clock())
+                r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(k))
+                monkeypatch.undo()
+            tested = sum(1 for check in before_test if check < k)
+            inside = k not in before_test  # the stop fell inside an arc's searches
+            assert r.tests_used == tested, k
+            assert r.per_case == partial[tested - 1 if inside else tested], k
 
 
 class TestScanBudget:
@@ -403,11 +350,25 @@ class TestScanBudget:
             ct.ScanBudget.comparisons(-1)
         assert ct.ScanBudget.comparisons(0).max_comparisons == 0
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_comparison_budget_must_be_an_int(self, n):
+        # a scan stops when the tests used equal the budget, which no other
+        # value ever does
+        with pytest.raises(ValueError):
+            ct.ScanBudget.comparisons(n)
+        with pytest.raises(ValueError):
+            ct.ScanBudget("comparisons", max_comparisons=n)
+
     def test_deadline_must_be_positive(self):
         with pytest.raises(ValueError):
             ct.ScanBudget.deadline(0.0)
         with pytest.raises(ValueError):
             ct.ScanBudget.deadline(-1.0)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_deadline_must_be_finite(self, seconds):
+        with pytest.raises(ValueError):
+            ct.ScanBudget.deadline(seconds)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
