@@ -11,11 +11,15 @@ Retrieval scans the tree breadth first under a budget. Each arc test costs
 one comparison and asks the oracle for every way the node's free generic
 agents can be bound so that the tested value holds. The tree shares oracle
 calls, as a Rete alpha memory does: an arc's completions are asked once and
-kept along its branch for every case below. After each arc that is not
-contradicted, every case below it is scored by the exact binding search over
-the completions of its tested branch positions, so every case has a usable
-partial score at any interruption point. An arc is contradicted exactly when
-no completion binds distinct ids; when pruning is on, that abandons the
+kept along its branch for every case below. A case is scored by the exact
+binding search over the completions of its tested branch positions; the
+score depends on those positions alone, so it needs to be current only where
+the scan can stop. When a deadline or cancel flag can stop the scan, every
+case below an arc that is not contradicted is searched right after the arc,
+so every case has a usable partial score at any interruption point.
+Otherwise the scan knows where it stops and searches each case once, there,
+over the last tested prefix of its branch. An arc is contradicted exactly
+when no completion binds distinct ids; when pruning is on, that abandons the
 branch and freezes the scores of the cases below it, and with pruning off the
 scan keeps walking and converges to the offline similarity of every case.
 
@@ -28,15 +32,18 @@ Budgets are observed before every test: a comparison budget caps the used
 count exactly, and a deadline or external cancellation stops the scan before
 its next oracle call. Both engines also observe deadline and cancellation at
 every node of every search, so a tree scan overruns a deadline by one oracle
-call plus one search node at most. An arc's scores are committed only once
-every case below it is searched, so an arc interrupted in its searches counts
-as used but changes no case, and an interrupted scan only assembles its
-result.
+call plus one search node at most. Under a deadline or cancel flag an arc's
+scores are committed only once every case below it is searched, so an arc
+interrupted in its searches counts as used but changes no case, and an
+interrupted scan only assembles its result. A scan that nothing can
+interrupt stops at its end, at its comparison budget or at an oracle failure,
+and brings every score current there, before it returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -230,8 +237,10 @@ class ScanBudget:
         if self.kind == "comparisons" and (isinstance(n, bool) or not isinstance(n, int)
                                            or n < 0):
             raise ValueError(f"comparison budget must be an int >= 0, got {n!r}")
-        if self.kind == "deadline" and not 0.0 < self.seconds < math.inf:
-            raise ValueError(f"deadline must be finite and positive, got {self.seconds}")
+        s = self.seconds
+        if self.kind == "deadline" and (isinstance(s, bool) or not isinstance(s, numbers.Real)
+                                        or not 0.0 < s < math.inf):
+            raise ValueError(f"deadline must be a finite positive number of seconds, got {s!r}")
 
     @classmethod
     def comparisons(cls, n: int) -> "ScanBudget":
@@ -323,6 +332,12 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     Returns the best case under the anytime score together with every case's
     (score, scanned count, pruned flag). Pruned cases keep their frozen score
     in the final ranking.
+
+    With a deadline or ``cancel`` flag, every case below an arc that is not
+    contradicted is searched right after the arc, so the scan can stop
+    anywhere. Without either, each case is searched once, over the last
+    tested prefix of its branch, when the scan stops; the results are the
+    same.
     """
     if oracle.size < 1:
         raise ValueError("cannot scan against an empty target")
@@ -343,7 +358,34 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             return ((deadline_at is not None and time.perf_counter() >= deadline_at)
                     or (cancel is not None and cancel.is_set()))
 
+    # per case not yet scored over its latest tested prefix: that prefix. The
+    # search result depends on the prefix alone, so a scan that nothing can
+    # interrupt searches each case once, when it stops; one with a deadline or
+    # cancel flag searches after every arc, where an interruption can land.
+    pending: dict[str, tuple] = {}
+
+    def flush() -> bool:
+        """Score every pending case; commit all of them, or none if interrupted."""
+        scores = {}
+        for cid, tested in pending.items():
+            order, case = tree.order[cid], tree.cases[cid]
+            total = case.total_weight
+            found = _search_bindings(
+                case.weights,
+                [(order[depth], own, domain) for depth, own, domain in tested],
+                lambda w, n: partial_score(w, n, total, size, alpha),
+                interrupted,
+            )
+            if found is None:
+                pending.clear()
+                return False
+            scores[cid] = found[:2]
+        best.update(scores)
+        pending.clear()
+        return True
+
     def result() -> RetrievalResult:
+        flush()  # a no-op unless nothing can interrupt the scan
         per_case = {
             cid: CaseOutcome(score, scanned[cid], cid in pruned, True, Substitution(pairs))
             for cid, (score, pairs) in best.items()
@@ -378,22 +420,11 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                 ) from exc
             rows = _injective_rows(completions)
             child_tested = tested
-            if rows:  # not contradicted: score every case below, then commit
+            if rows:  # not contradicted: every case below is pending on the longer prefix
                 child_tested = tested + ((node.depth, labels, rows),)
-                scores = {}
-                for cid in arc.below:
-                    order, case = tree.order[cid], tree.cases[cid]
-                    total = case.total_weight
-                    found = _search_bindings(
-                        case.weights,
-                        [(order[depth], own, domain) for depth, own, domain in child_tested],
-                        lambda w, n: partial_score(w, n, total, size, alpha),
-                        interrupted,
-                    )
-                    if found is None:
-                        return result()
-                    scores[cid] = found[:2]
-                best.update(scores)
+                pending.update(dict.fromkeys(arc.below, child_tested))
+                if interrupted is not None and not flush():
+                    return result()
             for cid in arc.below:
                 scanned[cid] += 1
             if not rows and prune:

@@ -183,24 +183,79 @@ class TestScanTree:
         assert generous.tests_used == tree.arc_count()
 
     def test_oracle_failure_carries_partial_results(self, three_case_base, exact_case1_target):
+        # the partial result holds every score over the three tests that
+        # succeeded, whether cases are searched only when the scan stops or
+        # after each arc (under a cancel flag that is never set)
         cases, priority = three_case_base
         tree = ct.build_tree(cases, priority)
+        three = ct.scan_tree(tree, ct.TargetOracle(exact_case1_target),
+                             ct.ScanBudget.comparisons(3), prune=False)
+        assert any(oc.score > 0 for oc in three.per_case.values())
 
         class FlakyOracle(ct.TargetOracle):
             calls = 0
 
             def completions(self, name, values, desired):
-                type(self).calls += 1
-                if type(self).calls > 3:
+                self.calls += 1
+                if self.calls > 3:
                     raise ConnectionError("context box went away")
                 return super().completions(name, values, desired)
 
-        with pytest.raises(ct.RetrievalError) as err:
-            ct.scan_tree(tree, FlakyOracle(exact_case1_target), prune=False)
-        partial = err.value.partial
-        assert partial is not None
-        assert partial.tests_used == 4
-        assert partial.per_case["case1"].scanned >= 1
+        for cancel in (None, threading.Event()):
+            with pytest.raises(ct.RetrievalError) as err:
+                ct.scan_tree(tree, FlakyOracle(exact_case1_target), prune=False, cancel=cancel)
+            partial = err.value.partial
+            assert partial is not None
+            assert partial.tests_used == 4
+            assert partial.per_case == three.per_case, cancel
+
+    @pytest.mark.parametrize("which", ["three", "random"])
+    def test_each_case_is_searched_once_unless_a_stop_can_interrupt(
+            self, monkeypatch, three_case_base, exact_case1_target, which):
+        # a case's score depends only on its tested prefix: with no deadline
+        # or cancel flag each case is searched once, when the scan stops;
+        # with a cancel flag, every case below each arc that is not
+        # contradicted is searched right after that arc
+        if which == "three":
+            cases, priority = three_case_base
+            target = exact_case1_target
+        else:
+            cases, priority = random_base(5, 12, max_players=8), ct.FOOTBALL_PRIORITY
+            world = ct.generate_world(5, 8)
+            target = ct.elaborate(world, world.self_id, radius=120)
+        tree = ct.build_tree(cases, priority)
+        oracle = ct.TargetOracle(target)
+        searched = []
+        search = ct.retrieval._search_bindings
+
+        def counting(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(ct.retrieval, "_search_bindings", counting)
+
+        def scan(budget=ct.UNBOUNDED, cancel=None):
+            searched.clear()
+            return ct.scan_tree(tree, oracle, budget, prune=False, cancel=cancel), len(searched)
+
+        def injective(rows):
+            return any(len(set(row.values())) == len(row) for row in rows)
+
+        not_contradicted = [arc for node in tree.iter_nodes() for arc in node.arcs
+                            if injective(oracle.completions(node.predicate, node.values,
+                                                            arc.test))]
+        full, searches = scan()
+        assert searches == len(set().union(*(arc.below for arc in not_contradicted)))
+        assert searches <= len(cases)
+        eager, searches = scan(cancel=threading.Event())
+        assert searches == sum(len(arc.below) for arc in not_contradicted)
+        assert searches > len(cases)
+        assert eager == full
+        budget = ct.ScanBudget.comparisons(tree.arc_count() // 2)
+        cut, searches = scan(budget)
+        assert 0 < searches <= len(cases)
+        assert cut.tests_used == budget.max_comparisons
+        assert scan(budget, threading.Event())[0] == cut
 
     def test_concurrent_scans_share_one_tree(self, three_case_base):
         cases, priority = three_case_base
@@ -260,12 +315,14 @@ class TestScanTree:
                     brute_force_similarity(case, target, 0.5), abs=1e-9), (seed, case.id)
 
     @given(st.integers(0, 10_000), st.sampled_from(range(8, 23, 2)), st.booleans(),
-           st.booleans(), st.sampled_from((0.0, 0.5, 1.0)), st.integers(0, 60))
+           st.booleans(), st.sampled_from((0.0, 0.5, 1.0)), st.integers(0, 60),
+           st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_anytime_scores_match_brute_force_over_scanned_prefix(
-            self, seed, players, zero, prune, alpha, budget):
+            self, seed, players, zero, prune, alpha, budget, cancel):
         # whole-pitch targets perceive every other player; zero weights and
-        # alpha 0 make exact score ties common
+        # alpha 0 make exact score ties common; a cancel flag that is never
+        # set makes the scan search after every arc instead of once at its stop
         base = [c for c in random_base(seed % 50, 8, max_players=8, max_perceptions=4)
                 if len(c.generic_labels) <= 3]
         if zero:
@@ -274,7 +331,8 @@ class TestScanTree:
         target = ct.elaborate(world, world.self_id, radius=120)
         tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
         r = ct.scan_tree(tree, ct.TargetOracle(target), ct.ScanBudget.comparisons(budget),
-                         ct.SimilarityParams(alpha), prune=prune)
+                         ct.SimilarityParams(alpha), prune=prune,
+                         cancel=threading.Event() if cancel else None)
         for case in base:
             oc = r.per_case[case.id]
             allowed = tree.order[case.id][:oc.scanned]
@@ -365,7 +423,7 @@ class TestScanBudget:
         with pytest.raises(ValueError):
             ct.ScanBudget.deadline(-1.0)
 
-    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), True, "5"])
     def test_deadline_must_be_finite(self, seconds):
         with pytest.raises(ValueError):
             ct.ScanBudget.deadline(seconds)
