@@ -82,7 +82,7 @@ wid = sorted(targets)[0]
 print(f"\n{wid}: alpha  retrieved  recall  precision")
 for r in alpha_rows:
     if r.target == wid:
-        print(f"        {r.alpha:5.2f}  {int(r.retrieved):9d}  {r.recall:.3f}   {r.precision:.3f}")
+        print(f"        {r.alpha:5.2f}  {int(r.n_correct + r.n_false):9d}  {r.recall:.3f}   {r.precision:.3f}")
 
 # %% Budget sweep: the quality climb under time pressure, tree vs the
 # order-averaged linear baseline.

@@ -29,13 +29,15 @@ constant object sort (Ball, Team, ...). The optional ``action`` attribute
 carries the decision attached to the case.
 
 Unification has one matcher and one binding search. ``TargetCase.completions``
-lists every way a perception pattern can be bound so that it occurs in the
-target. ``_search_bindings`` finds a case's best injective binding by a
-bounded depth-first search over those completions: it is exact at every agent
-count and can be interrupted at every search node. ``unify`` and
-``similarity.scored_unify`` run it over every perception of a case;
-``retrieval.scan_tree`` runs it for each case below a tested arc, over the
-completions its tree branch has tested so far.
+lists every injective way a perception pattern can be bound so that it occurs
+in the target, as rows of ids. ``_search_bindings`` finds a case's best
+injective binding by a bounded depth-first search over those rows: it is exact
+at every agent count and can be interrupted at every search node. ``unify``
+and ``similarity.scored_unify`` run it over every perception of a case;
+``retrieval.scan_tree`` runs it for each case below a tested arc, over the rows
+its tree branch has tested so far. Acquisition's dedupe, ``case_equivalent``,
+runs the same matcher and search with the stored case's labels standing in as
+concrete ids.
 """
 
 from __future__ import annotations
@@ -173,27 +175,30 @@ class TargetCase:
         return index
 
     def completions(self, name: str, values: tuple[Value, ...],
-                    desired: bool | str) -> list[dict[str, str]]:
-        """Every way to fill the generic labels of the pattern ``name(values)``
-        so that the instantiated perception occurs here with the desired
-        choice value: one binding dict per way, in sorted order, each holding
-        its labels in sorted order. A fully ground pattern yields ``[{}]`` on
-        success and ``[]`` on failure."""
-        out: set[tuple[tuple[str, str], ...]] = set()
+                    desired: bool | str) -> list[tuple[str, ...]]:
+        """Every injective way to fill the generic labels of the pattern
+        ``name(values)`` so that the instantiated perception occurs here with
+        the desired choice value: one row of ids per way, holding them in the
+        sorted order of their labels, rows in sorted order. A way that binds one
+        id to two labels extends no binding and is left out. A fully ground
+        pattern yields ``[()]`` on success and ``[]`` on failure."""
+        labels = sorted({v.name for v in values if v.kind == "generic"})
+        out: set[tuple[str, ...]] = set()
         for entry in self._by_test.get((name, desired), ()):
             if len(entry.values) != len(values):
                 continue
             binding: dict[str, str] = {}
             for pv, tv in zip(values, entry.values):
                 if pv.kind == "generic":
-                    if tv.kind != "concrete" or binding.get(pv.name, tv.name) != tv.name:
+                    if tv.kind != "concrete" or binding.setdefault(pv.name, tv.name) != tv.name:
                         break
-                    binding[pv.name] = tv.name
                 elif pv != tv:
                     break
             else:
-                out.add(tuple(sorted(binding.items())))
-        return [dict(pairs) for pairs in sorted(out)]
+                row = tuple(map(binding.__getitem__, labels))
+                if len(set(row)) == len(row):
+                    out.add(row)
+        return sorted(out)
 
     def __len__(self) -> int:
         return len(self.perceptions)
@@ -213,10 +218,6 @@ class Substitution:
             raise CaseError(f"substitution not injective: {self.pairs}")
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
-    @classmethod
-    def of(cls, mapping: dict[str, str]) -> "Substitution":
-        return cls(tuple(mapping.items()))
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.pairs)
 
@@ -227,27 +228,15 @@ class Substitution:
         return bool(self.pairs)
 
 
-EMPTY_SUBSTITUTION = Substitution()
-
-
 # ---------------------------------------------------------------------------
 # unification
-
-def _injective_rows(completions: list[dict[str, str]]) -> list[tuple[str, ...]]:
-    """Completions as rows of ids in their sorted label order, less those that
-    bind one id to two labels: such a completion extends no binding."""
-    rows = [tuple(c.values()) for c in completions]
-    if rows and len(rows[0]) > 1:
-        rows = [row for row in rows if len(set(row)) == len(row)]
-    return rows
-
 
 def _search_bindings(weights, perceptions, objective, interrupted=None):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
     ``perceptions`` holds (index into ``weights``, generic labels in sorted
-    order, rows of ids binding those labels, none binding one id twice) per
-    perception that may match; the others never match.
+    order, rows of ids binding those labels as ``TargetCase.completions``
+    gives them) per perception that may match; the others never match.
 
     A bounded depth-first search decides the generic labels in sorted order.
     A node first offers its binding as a candidate, unless its parent already
@@ -338,8 +327,7 @@ def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None)
     ``target``: (best_value, Substitution, frozenset of matched indices), or
     None once ``interrupted()`` holds."""
     found = _search_bindings(source.weights, [
-        (i, sorted(p.generic_labels),
-         _injective_rows(target.completions(p.name, p.values, p.choice)))
+        (i, sorted(p.generic_labels), target.completions(p.name, p.values, p.choice))
         for i, p in enumerate(source.perceptions)
     ], objective, interrupted)
     if found is None:
@@ -402,66 +390,27 @@ def generalize(target: TargetCase, action: str, case_id: str = "acquired",
 
 def case_equivalent(a: GenericCase, b: GenericCase) -> bool:
     """True when some bijection of generic labels makes the perception sets
-    identical. Weights and actions are ignored."""
+    identical. Weights and actions are ignored.
+
+    ``b`` becomes a target whose concrete ids are its labels, and the shared
+    search looks for an injective binding that matches every perception of
+    ``a`` there: with equal perception and label counts, that binding renames
+    ``a`` onto ``b``. The objective is worth nothing short of all of them, so a
+    node is cut as soon as one perception loses its last row.
+    """
     if len(a.perceptions) != len(b.perceptions):
         return False
     if len(a.generic_labels) != len(b.generic_labels):
         return False
-
     b_set = set(b.perceptions)
-    if not a.generic_labels:
-        return set(a.perceptions) == b_set
-
-    def skeleton(p: Perception):
-        return (p.name, p.choice, tuple(v if v.kind != "generic" else "?" for v in p.values))
-
-    by_skel: dict = {}
-    for q in b.perceptions:
-        by_skel.setdefault(skeleton(q), []).append(q)
-
-    generic_ps = [p for p in a.perceptions if p.generic_labels]
     if any(p not in b_set for p in a.perceptions if not p.generic_labels):
         return False
-
-    def renames_onto(mapping: dict[str, str]) -> bool:
-        renamed = set()
-        for p in a.perceptions:
-            values = tuple(
-                Value("generic", mapping[v.name]) if v.kind == "generic" else v
-                for v in p.values
-            )
-            renamed.add(Perception(p.name, values, p.choice))
-        return renamed == b_set
-
-    def extend(trial: dict[str, str], used: set[str], p: Perception, q: Perception):
-        """Grow the label bijection so that renaming p gives q; None on clash."""
-        out, out_used = dict(trial), set(used)
-        for pv, qv in zip(p.values, q.values):
-            if pv.kind != "generic":
-                if pv != qv:
-                    return None
-                continue
-            want = out.get(pv.name)
-            if want is None:
-                if qv.name in out_used:
-                    return None
-                out[pv.name] = qv.name
-                out_used.add(qv.name)
-            elif want != qv.name:
-                return None
-        return out, out_used
-
-    def search(ps, mapping, used) -> bool:
-        if not ps:
-            return len(mapping) == len(a.generic_labels) and renames_onto(mapping)
-        p, rest = ps[0], ps[1:]
-        for q in by_skel.get(skeleton(p), []):
-            grown = extend(mapping, used, p, q)
-            if grown is not None and search(rest, *grown):
-                return True
-        return False
-
-    return search(generic_ps, {}, set())
+    target = TargetCase(tuple(
+        Perception(q.name, tuple(concrete(v.name) if v.kind == "generic" else v
+                                 for v in q.values), q.choice)
+        for q in b.perceptions))
+    size = len(a.perceptions)
+    return _unify(a, target, lambda w, n: n == size)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class MetricRow:
     n_missed: float
     th_t: float | None
     tests_used: float = 0.0
-    retrieved: float = 0.0
 
     @property
     def n_total(self) -> float:
@@ -82,7 +81,7 @@ def metrics(c1: Iterable[str], c2: Iterable[str]) -> MetricRow:
         target="", alpha=0.0, budget=None, engine="",
         recall=recall, precision=precision,
         n_correct=n_correct, n_false=n_false, n_missed=n_missed,
-        th_t=None, retrieved=len(s2),
+        th_t=None,
     )
 
 
@@ -171,17 +170,16 @@ def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
                 row = metrics(c1, c2_lin)
                 th_lin = min((exact[cid] for cid in c2_lin), default=None)
                 samples.append((row.recall, row.precision, row.n_correct,
-                                row.n_false, row.n_missed, th_lin, used, len(c2_lin)))
+                                row.n_false, row.n_missed, th_lin, used))
             columns = list(zip(*samples))
             recall, precision, n_correct, n_false, n_missed = map(fmean, columns[:5])
-            used, retrieved = map(fmean, columns[6:])
             th_values = [th for th in columns[5] if th is not None]
             rows.append(MetricRow(
                 target=target_id, alpha=params.alpha, budget=budget, engine="linear",
                 recall=recall, precision=precision, n_correct=n_correct,
                 n_false=n_false, n_missed=n_missed,
                 th_t=fmean(th_values) if th_values else None,
-                tests_used=used, retrieved=retrieved,
+                tests_used=fmean(columns[6]),
             ))
     return rows
 

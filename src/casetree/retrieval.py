@@ -8,25 +8,26 @@ Cases with a common high-priority prefix share nodes, which is where the
 memory saving and the shared query work come from.
 
 Retrieval scans the tree breadth first under a budget. Each arc test costs
-one comparison and asks the oracle for every way the node's free generic
-agents can be bound so that the tested value holds. The tree shares oracle
-calls, as a Rete alpha memory does: an arc's completions are asked once and
-kept along its branch for every case below. A case is scored by the exact
-binding search over the completions of its tested branch positions; the
+one comparison and asks the oracle for every injective way the node's free
+generic agents can be bound so that the tested value holds, as rows of ids.
+The tree shares oracle calls, as a Rete alpha memory does: an arc's rows are
+asked once and kept along its branch for every case below. A case is scored
+by the exact binding search over the rows of its tested branch positions; the
 score depends on those positions alone, so it needs to be current only where
 the scan can stop. When a deadline or cancel flag can stop the scan, every
 case below an arc that is not contradicted is searched right after the arc,
 so every case has a usable partial score at any interruption point.
 Otherwise the scan knows where it stops and searches each case once, there,
 over the last tested prefix of its branch. An arc is contradicted exactly
-when no completion binds distinct ids; when pruning is on, that abandons the
-branch and freezes the scores of the cases below it, and with pruning off the
-scan keeps walking and converges to the offline similarity of every case.
+when it has no row; when pruning is on, that abandons the branch and freezes
+the scores of the cases below it, and with pruning off the scan keeps walking
+and converges to the offline similarity of every case.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``. The linear baseline scores each case with
-``similarity.scored_unify``, the same search over the same completions, so
-the two engines differ only in how they share work.
+``similarity.scored_unify``, the same search over the same rows, so the two
+engines differ only in how they share work. Both stop on the same check and
+assemble their results the same way.
 
 Budgets are observed before every test: a comparison budget caps the used
 count exactly, and a deadline or external cancellation stops the scan before
@@ -49,8 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _injective_rows,
-                    _search_bindings)
+from .cases import GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings
 from .similarity import DEFAULT_PARAMS, SimilarityParams, partial_score, scored_unify
 
 
@@ -264,9 +264,12 @@ UNBOUNDED = ScanBudget()
 class TargetOracle:
     """Prolog-style completion queries against one target case.
 
-    ``completions(name, values, desired)`` is ``TargetCase.completions``.
-    Scans take the oracle as a parameter, so a caller can stand in its own,
-    for instance to time or fail its tests.
+    ``completions(name, values, desired)`` is ``TargetCase.completions``: the
+    injective ways to bind the pattern's generic labels, one row of ids per
+    way in the sorted order of the labels, rows sorted; ``[()]`` or ``[]`` for
+    a ground pattern. Scans take the oracle as a parameter, so a caller can
+    stand in its own, for instance to time or fail its tests; a stand-in
+    returns the rows in that same form.
     """
 
     def __init__(self, target: TargetCase):
@@ -277,7 +280,7 @@ class TargetOracle:
         return len(self.target)
 
     def completions(self, name: str, values: tuple[Value, ...],
-                    desired: bool | str) -> list[dict[str, str]]:
+                    desired: bool | str) -> list[tuple[str, ...]]:
         return self.target.completions(name, values, desired)
 
 
@@ -306,17 +309,34 @@ class RetrievalResult:
         return {cid: oc.score for cid, oc in self.per_case.items()}
 
 
-def _argmax(per_case: dict[str, CaseOutcome], require_evaluated: bool):
-    """Highest score wins; exact ties go to the lowest case id."""
-    pool = [
-        (cid, oc) for cid, oc in per_case.items()
-        if oc.evaluated or not require_evaluated
-    ]
-    if not pool:
-        return None, 0.0, Substitution()
-    best_id = min(pool, key=lambda kv: (-kv[1].score, kv[0]))[0]
-    best = per_case[best_id]
-    return best_id, best.score, best.substitution
+def _result(per_case: dict[str, CaseOutcome], tests_used: int, start: float
+            ) -> RetrievalResult:
+    """Assemble a scan's result: the highest evaluated score wins, exact ties
+    going to the lowest case id."""
+    pool = [(cid, oc) for cid, oc in per_case.items() if oc.evaluated]
+    best_id, best = min(pool, key=lambda kv: (-kv[1].score, kv[0]), default=(None, None))
+    return RetrievalResult(
+        best_case=best_id,
+        score=0.0 if best is None else best.score,
+        substitution=Substitution() if best is None else best.substitution,
+        per_case=per_case,
+        tests_used=tests_used,
+        elapsed_us=int((time.perf_counter() - start) * 1_000_000),
+    )
+
+
+def _stop_check(budget: ScanBudget, start: float, cancel):
+    """The check a scan asks before each test and at every search node: true
+    once the budget's deadline has passed or ``cancel`` is set. None when
+    neither can stop the scan."""
+    deadline_at = start + budget.seconds if budget.kind == "deadline" else None
+    if deadline_at is None and cancel is None:
+        return None
+
+    def interrupted() -> bool:
+        return ((deadline_at is not None and time.perf_counter() >= deadline_at)
+                or (cancel is not None and cancel.is_set()))
+    return interrupted
 
 
 # ---------------------------------------------------------------------------
@@ -344,65 +364,46 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
 
     start = time.perf_counter()
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
-    deadline_at = start + budget.seconds if budget.kind == "deadline" else None
+    interrupted = _stop_check(budget, start, cancel)
     size, alpha = oracle.size, params.alpha
     # per case: best score with its restricted binding pairs, tests scanned, pruned
     best = dict.fromkeys(tree.cases, (0.0, ()))
     scanned = dict.fromkeys(tree.cases, 0)
     pruned: set[str] = set()
     tests_used = 0
-
-    interrupted = None
-    if deadline_at is not None or cancel is not None:
-        def interrupted() -> bool:
-            return ((deadline_at is not None and time.perf_counter() >= deadline_at)
-                    or (cancel is not None and cancel.is_set()))
-
-    # per case not yet scored over its latest tested prefix: that prefix. The
-    # search result depends on the prefix alone, so a scan that nothing can
-    # interrupt searches each case once, when it stops; one with a deadline or
-    # cancel flag searches after every arc, where an interruption can land.
+    # when nothing can interrupt the scan, per case not yet scored over its
+    # latest tested prefix: that prefix. The search result depends on the
+    # prefix alone, so such a scan searches each case once, when it stops.
     pending: dict[str, tuple] = {}
 
-    def flush() -> bool:
-        """Score every pending case; commit all of them, or none if interrupted."""
+    def search(prefixes) -> bool:
+        """Score each (case id, tested prefix); commit all of them, or none if
+        interrupted."""
         scores = {}
-        for cid, tested in pending.items():
+        for cid, tested in prefixes:
             order, case = tree.order[cid], tree.cases[cid]
             total = case.total_weight
             found = _search_bindings(
                 case.weights,
-                [(order[depth], own, domain) for depth, own, domain in tested],
+                [(order[depth], own, rows) for depth, own, rows in tested],
                 lambda w, n: partial_score(w, n, total, size, alpha),
                 interrupted,
             )
             if found is None:
-                pending.clear()
                 return False
             scores[cid] = found[:2]
         best.update(scores)
-        pending.clear()
         return True
 
     def result() -> RetrievalResult:
-        flush()  # a no-op unless nothing can interrupt the scan
-        per_case = {
+        search(pending.items())
+        return _result({
             cid: CaseOutcome(score, scanned[cid], cid in pruned, True, Substitution(pairs))
             for cid, (score, pairs) in best.items()
-        }
-        best_id, best_score, best_sub = _argmax(per_case, require_evaluated=False)
-        return RetrievalResult(
-            best_case=best_id,
-            score=best_score,
-            substitution=best_sub,
-            per_case=per_case,
-            tests_used=tests_used,
-            elapsed_us=int((time.perf_counter() - start) * 1_000_000),
-        )
+        }, tests_used, start)
 
     # per branch position tested and not contradicted: (its depth, its node's
-    # generic labels in sorted order, its completions as injective rows), shared
-    # by every case below
+    # generic labels in sorted order, its rows), shared by every case below
     queue: deque[tuple[TreeNode, tuple]] = deque((node, ()) for node in tree.root.nodes)
     while queue:
         node, tested = queue.popleft()
@@ -412,18 +413,18 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                 return result()
             tests_used += 1
             try:
-                completions = oracle.completions(node.predicate, node.values, arc.test)
+                rows = oracle.completions(node.predicate, node.values, arc.test)
             except Exception as exc:  # surface with partial results attached
                 raise RetrievalError(
                     f"oracle failed at {node.label()}=[{arc.test}]: {exc}",
                     partial=result(),
                 ) from exc
-            rows = _injective_rows(completions)
             child_tested = tested
-            if rows:  # not contradicted: every case below is pending on the longer prefix
+            if rows:  # not contradicted: every case below now has a longer prefix
                 child_tested = tested + ((node.depth, labels, rows),)
-                pending.update(dict.fromkeys(arc.below, child_tested))
-                if interrupted is not None and not flush():
+                if interrupted is None:
+                    pending.update(dict.fromkeys(arc.below, child_tested))
+                elif not search((cid, child_tested) for cid in arc.below):
                     return result()
             for cid in arc.below:
                 scanned[cid] += 1
@@ -459,16 +460,11 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
         raise ValueError("cannot scan against an empty target")
 
     start = time.perf_counter()
-    deadline_at = start + budget.seconds if budget.kind == "deadline" else None
+    interrupted = _stop_check(budget, start, cancel)
     per_case = {
         cid: CaseOutcome(0.0, 0, False, False, Substitution()) for cid in by_id
     }
     tests_used = 0
-    interrupted = None
-    if deadline_at is not None or cancel is not None:
-        def interrupted() -> bool:
-            return ((deadline_at is not None and time.perf_counter() >= deadline_at)
-                    or (cancel is not None and cancel.is_set()))
 
     for cid in order:
         case = by_id[cid]
@@ -482,7 +478,7 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
         except Exception as exc:
             raise RetrievalError(
                 f"evaluation failed on {cid}: {exc}",
-                partial=_linear_result(per_case, tests_used, start),
+                partial=_result(per_case, tests_used, start),
             ) from exc
         if scored is None:  # interrupted mid-search: the case stays unevaluated
             break
@@ -490,16 +486,4 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
         tests_used += cost
         per_case[cid] = CaseOutcome(score, cost, False, True, sub)
 
-    return _linear_result(per_case, tests_used, start)
-
-
-def _linear_result(per_case, tests_used, start) -> RetrievalResult:
-    best_id, best_score, best_sub = _argmax(per_case, require_evaluated=True)
-    return RetrievalResult(
-        best_case=best_id,
-        score=best_score,
-        substitution=best_sub,
-        per_case=dict(per_case),
-        tests_used=tests_used,
-        elapsed_us=int((time.perf_counter() - start) * 1_000_000),
-    )
+    return _result(per_case, tests_used, start)

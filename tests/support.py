@@ -97,6 +97,21 @@ def brute_force_similarity(source, target, alpha):
     return brute_force_optimum(source, target, alpha)[0]
 
 
+def brute_force_equivalent(a, b):
+    """Whether some injective map of ``a``'s generic labels onto ``b``'s
+    renames ``a``'s perception set into ``b``'s."""
+    b_set = set(b.perceptions)
+    for image in itertools.permutations(b.generic_labels, len(a.generic_labels)):
+        mapping = dict(zip(a.generic_labels, image))
+        renamed = {ct.Perception(p.name, tuple(ct.generic(mapping[v.name])
+                                               if v.kind == "generic" else v
+                                               for v in p.values), p.choice)
+                   for p in a.perceptions}
+        if renamed == b_set:
+            return True
+    return False
+
+
 def zero_odd_weights(case):
     """The case with every odd-indexed weight set to zero, so that scores tie."""
     return ct.GenericCase(case.id, case.perceptions,

@@ -9,6 +9,7 @@ import casetree as ct
 from casetree.similarity import scored_unify
 from support import (
     brute_force_best_weight,
+    brute_force_equivalent,
     brute_force_optimum,
     random_base,
     random_target,
@@ -271,6 +272,75 @@ class TestCaseEquivalent:
     def test_weights_and_action_ignored(self, case1):
         reweighted = ct.GenericCase("x", case1.perceptions, (9.0, 9.0, 9.0), "shoot")
         assert ct.case_equivalent(case1, reweighted)
+
+    @staticmethod
+    def renamed_shuffled(rng, case):
+        """The case with its labels renamed injectively, partly beyond Z, and
+        its perceptions shuffled."""
+        image = dict(zip(case.generic_labels,
+                         rng.sample([f"L{i}" for i in range(40)], len(case.generic_labels))))
+        perceptions = [P(p.name, [ct.generic(image[v.name]) if v.kind == "generic" else v
+                                  for v in p.values], p.choice) for p in case.perceptions]
+        rng.shuffle(perceptions)
+        return ct.GenericCase("r", tuple(perceptions), (1.0,) * len(perceptions))
+
+    @staticmethod
+    def near_miss(rng, case, edit, ctx):
+        """The case with one perception edited: its choice flipped, two of its
+        labels swapped, or one of its labels replaced by another of the case's.
+        None when no perception admits the edit without duplicating another."""
+        perceptions = list(case.perceptions)
+        for i in rng.sample(range(len(perceptions)), len(perceptions)):
+            p = perceptions[i]
+            slots = [k for k, v in enumerate(p.values) if v.kind == "generic"]
+            values = list(p.values)
+            if edit == "flip" and isinstance(p.choice, bool):
+                edited = P(p.name, values, not p.choice)
+            elif edit == "flip":
+                edited = P(p.name, values, rng.choice(
+                    [c for c in ctx.predicates[p.name].choice.labels if c != p.choice]))
+            elif edit == "swap" and len(slots) >= 2 and values[slots[0]] != values[slots[1]]:
+                values[slots[0]], values[slots[1]] = values[slots[1]], values[slots[0]]
+                edited = P(p.name, values, p.choice)
+            elif edit == "repeat" and slots and len(case.generic_labels) >= 2:
+                k = rng.choice(slots)
+                values[k] = ct.generic(rng.choice(
+                    [label for label in case.generic_labels if label != values[k].name]))
+                edited = P(p.name, values, p.choice)
+            else:
+                continue
+            if edited not in perceptions:
+                perceptions[i] = edited
+                return ct.GenericCase("m", tuple(perceptions), (1.0,) * len(perceptions))
+        return None
+
+    @given(st.integers(0, 10_000), st.sampled_from((6, 8, 22)), st.sampled_from((30, 120)),
+           st.sampled_from(("same", "other", "flip", "swap", "repeat")), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, football_ctx, seed, players, radius, edit, rename):
+        rng = random.Random(seed)
+        worlds = [ct.generate_world(seed + i, players) for i in range(2)]
+        pool = [ct.elaborate(w, w.self_id, radius=radius) for w in worlds]
+        if not all(len(t) for t in pool):
+            return
+
+        def draw(source):
+            case = sample_case(rng, source, football_ctx, "c", max_perceptions=6)
+            while len(case.generic_labels) > 6:
+                case = sample_case(rng, source, football_ctx, "c", max_perceptions=6)
+            return case
+
+        a = draw(pool[0])
+        if edit == "same":
+            b = a
+        elif edit == "other":
+            b = draw(pool[rng.randrange(2)])
+        else:
+            b = self.near_miss(rng, a, edit, football_ctx) or a
+        if rename:
+            b = self.renamed_shuffled(rng, b)
+        assert ct.case_equivalent(a, b) == brute_force_equivalent(a, b)
+        assert ct.case_equivalent(b, a) == brute_force_equivalent(b, a)
 
 
 class TestInvariants:

@@ -116,7 +116,7 @@ class TestSweepAlpha:
     def test_row_sizes_non_increasing(self, graded_base, graded_target):
         rows = ct.sweep_alpha(graded_target, graded_base, {"a"}, 0.3,
                               [0.0, 0.5, 1.0], target_id="t")
-        sizes = [r.retrieved for r in rows]
+        sizes = [r.n_correct + r.n_false for r in rows]
         assert sizes == sorted(sizes, reverse=True)
         assert all(r.target == "t" for r in rows)
         assert [r.alpha for r in rows] == [0.0, 0.5, 1.0]

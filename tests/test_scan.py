@@ -26,12 +26,12 @@ def tree_and_oracle(three_case_base, target):
 class TestTargetOracle:
     def test_fully_bound_hit_and_miss(self, exact_case1_target):
         oracle = ct.TargetOracle(exact_case1_target)
-        assert oracle.completions("hasball", (ct.ME,), False) == [{}]
+        assert oracle.completions("hasball", (ct.ME,), False) == [()]
         assert oracle.completions("hasball", (ct.ME,), True) == []
 
     def test_free_variable_binding(self, exact_case1_target):
         oracle = ct.TargetOracle(exact_case1_target)
-        assert oracle.completions("partner", (ct.generic("A"),), True) == [{"A": "Agent.1"}]
+        assert oracle.completions("partner", (ct.generic("A"),), True) == [("Agent.1",)]
         assert oracle.completions("partner", (ct.generic("A"),), False) == []
 
     def test_shared_label_must_bind_consistently(self):
@@ -42,9 +42,7 @@ class TestTargetOracle:
         pattern = (ct.generic("A"), ct.generic("A"))
         assert oracle.completions("markedBy", pattern, True) == []
         pattern = (ct.generic("A"), ct.generic("B"))
-        assert oracle.completions("markedBy", pattern, True) == [
-            {"A": "Agent.1", "B": "Agent.2"}
-        ]
+        assert oracle.completions("markedBy", pattern, True) == [("Agent.1", "Agent.2")]
 
     def test_results_are_sorted(self):
         target = ct.TargetCase(perceptions=(
@@ -53,7 +51,7 @@ class TestTargetOracle:
         ))
         oracle = ct.TargetOracle(target)
         got = oracle.completions("partner", (ct.generic("A"),), True)
-        assert got == [{"A": "Agent.2"}, {"A": "Agent.9"}]
+        assert got == [("Agent.2",), ("Agent.9",)]
 
 
 class TestScanTree:
@@ -239,7 +237,7 @@ class TestScanTree:
             return ct.scan_tree(tree, oracle, budget, prune=False, cancel=cancel), len(searched)
 
         def injective(rows):
-            return any(len(set(row.values())) == len(row) for row in rows)
+            return any(len(set(row)) == len(row) for row in rows)
 
         not_contradicted = [arc for node in tree.iter_nodes() for arc in node.arcs
                             if injective(oracle.completions(node.predicate, node.values,
@@ -272,8 +270,8 @@ class TestScanTree:
         assert concurrent == sequential
 
     def test_completion_binding_one_id_twice_never_merges(self):
-        # the target perceives markedBy(x, x): its only completion of the
-        # markedBy(?A, ?B) node binds Agent.1 to both labels
+        # the target perceives markedBy(x, x): the only way to fill the
+        # markedBy(?A, ?B) node binds Agent.1 to both labels, so it has no row
         case = ct.GenericCase("c", (
             ct.Perception("markedBy", (ct.generic("A"), ct.generic("B")), True),
             ct.Perception("partner", (ct.generic("A"),), True),
@@ -282,8 +280,7 @@ class TestScanTree:
         partner = ct.Perception("partner", (ct.concrete("Agent.1"),), True)
         tree = ct.build_tree([case], ct.FOOTBALL_PRIORITY)
         oracle = ct.TargetOracle(ct.TargetCase((twice, partner)))
-        assert oracle.completions("markedBy", case.perceptions[0].values, True) == [
-            {"A": "Agent.1", "B": "Agent.1"}]
+        assert oracle.completions("markedBy", case.perceptions[0].values, True) == []
         r = ct.scan_tree(tree, oracle)
         assert r.tests_used == 1 and r.per_case["c"].pruned
         assert r.per_case["c"].score == 0.0
@@ -293,7 +290,10 @@ class TestScanTree:
         # beside a proper completion only that one merges
         other = ct.Perception("markedBy", (ct.concrete("Agent.2"), ct.concrete("Agent.1")), True)
         partner = ct.Perception("partner", (ct.concrete("Agent.2"),), True)
-        r = ct.scan_tree(tree, ct.TargetOracle(ct.TargetCase((twice, other, partner))))
+        oracle = ct.TargetOracle(ct.TargetCase((twice, other, partner)))
+        assert oracle.completions("markedBy", case.perceptions[0].values, True) == [
+            ("Agent.2", "Agent.1")]
+        r = ct.scan_tree(tree, oracle)
         assert r.per_case["c"].score == pytest.approx(1 - 0.5 * 1 / 3)
         assert r.per_case["c"].substitution == ct.Substitution((("A", "Agent.2"),
                                                                ("B", "Agent.1")))
