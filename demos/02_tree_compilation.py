@@ -38,18 +38,24 @@ priority = ("hasball", "partner", "distance")
 tree = ct.build_tree(cases, priority)
 
 
-def show(slot, indent=0):
+# each case's branch ends at the last arc of tree.paths[cid]
+ends = {}
+for cid, path in tree.paths.items():
+    ends.setdefault(path[-1] if path else None, []).append(cid)
+
+
+def show(nodes, arc=None, indent=0):
     pad = "  " * indent
-    for cid in slot.case_ids:
+    for cid in ends.get(arc, ()):
         print(f"{pad}[leaf {cid}]")
-    for node in slot.nodes:
+    for node in nodes:
         print(f"{pad}{node.label()}")
-        for arc in node.arcs:
-            print(f"{pad}  == {arc.test!r} ==>")
-            show(arc.child, indent + 2)
+        for child_arc in node.arcs:
+            print(f"{pad}  == {child_arc.test!r} ==>")
+            show(child_arc.children, child_arc, indent + 2)
 
 
-show(tree.root)
+show(tree.roots)
 
 # %% All three cases enter through one shared root node; the flat list
 # would store eight perceptions, the tree five nodes.

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from xml.sax.saxutils import escape
 
-from .context import Context, ContextError, Violation, validate_perception, xml_attribute
+from .context import (Context, ContextError, Violation, _attr, validate_perception,
+                      xml_attribute)
 
 
 @dataclass(frozen=True)
@@ -460,8 +461,8 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
         if sub.tag != "predicate":
             raise ContextError(f"unexpected element <{sub.tag}>", f"{path}/{sub.tag}")
         sub_path = f"{path}/predicate[{i}]"
-        name = _attr_or_die(sub, "name", sub_path)
-        raw_weight = _attr_or_die(sub, "weight", sub_path)
+        name = _attr(sub, "name", sub_path)
+        raw_weight = _attr(sub, "weight", sub_path)
         try:
             weight = float(raw_weight)
         except ValueError:
@@ -493,13 +494,6 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
         return GenericCase(case_id, tuple(perceptions), tuple(weights), action)
     except CaseError as exc:
         raise ContextError(str(exc), path) from None
-
-
-def _attr_or_die(elem, name, path):
-    value = elem.get(name)
-    if value is None:
-        raise ContextError(f"missing {name!r} attribute", path)
-    return value
 
 
 def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tuple[str, ...]]:

@@ -172,9 +172,6 @@ class Context:
     def schema(self, name: str) -> PredicateSchema:
         return self.predicates[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.predicates
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -92,10 +92,15 @@ def retrieve_set(target: TargetCase, base: Sequence[GenericCase],
     them (None when nothing qualifies)."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    scores = {c.id: similarity(c, target, params) for c in base}
+    return _retrieved({c.id: similarity(c, target, params) for c in base}, threshold)
+
+
+def _retrieved(scores: Mapping[str, float], threshold: float
+               ) -> tuple[frozenset[str], float | None]:
+    """The ids scoring at least ``threshold``, plus the least score among
+    them (None when nothing qualifies)."""
     c2 = frozenset(cid for cid, s in scores.items() if s >= threshold)
-    th_t = min((scores[cid] for cid in c2), default=None)
-    return c2, th_t
+    return c2, min((scores[cid] for cid in c2), default=None)
 
 
 def sweep_alpha(target: TargetCase, base: Sequence[GenericCase],
@@ -111,10 +116,6 @@ def sweep_alpha(target: TargetCase, base: Sequence[GenericCase],
         rows.append(replace(row, target=target_id or target.origin,
                             alpha=alpha, th_t=th_t))
     return rows
-
-
-def _scores_to_set(scores: Mapping[str, float], threshold: float) -> frozenset[str]:
-    return frozenset(cid for cid, s in scores.items() if s >= threshold)
 
 
 def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
@@ -148,9 +149,7 @@ def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
         for budget in budgets:
             result = scan_tree(tree, oracle, ScanBudget.comparisons(budget),
                                params, prune=prune)
-            tree_scores = result.scores()
-            c2 = _scores_to_set(tree_scores, threshold)
-            th_t = min((tree_scores[cid] for cid in c2), default=None)
+            c2, th_t = _retrieved(result.scores(), threshold)
             rows.append(replace(
                 metrics(c1, c2), target=target_id, alpha=params.alpha,
                 budget=budget, engine="tree", th_t=th_t,
@@ -160,15 +159,14 @@ def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
             samples = []
             for order in orders:
                 used = 0
-                evaluated = []
+                evaluated = {}  # score of every case the budget fully covered
                 for cid in order:
                     if used + costs[cid] > budget:
                         break
                     used += costs[cid]
-                    evaluated.append(cid)
-                c2_lin = frozenset(cid for cid in evaluated if exact[cid] >= threshold)
+                    evaluated[cid] = exact[cid]
+                c2_lin, th_lin = _retrieved(evaluated, threshold)
                 row = metrics(c1, c2_lin)
-                th_lin = min((exact[cid] for cid in c2_lin), default=None)
                 samples.append((row.recall, row.precision, row.n_correct,
                                 row.n_false, row.n_missed, th_lin, used))
             columns = list(zip(*samples))

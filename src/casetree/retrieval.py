@@ -2,7 +2,8 @@
 
 The case base is compiled once into a prefix-sharing tree: each node carries
 a predicate pattern ``{name, values}``, each outgoing arc a test
-``[choice == v]``, and each case owns exactly one root-to-leaf branch whose
+``[choice == v]`` and the nodes that follow it, and each case owns exactly
+one branch from a top-level node, the arcs in ``CaseTree.paths``, whose
 node/test labels spell out its perceptions in descending priority order.
 Cases with a common high-priority prefix share nodes, which is where the
 memory saving and the shared query work come from.
@@ -21,7 +22,9 @@ Otherwise the scan knows where it stops and searches each case once, there,
 over the last tested prefix of its branch. An arc is contradicted exactly
 when it has no row; when pruning is on, that abandons the branch and freezes
 the scores of the cases below it, and with pruning off the scan keeps walking
-and converges to the offline similarity of every case.
+and converges to the offline similarity of every case. Besides its score, a
+scan keeps one record per case: how many arcs of its branch were tested,
+and its tested prefix that no arc contradicted.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``. The linear baseline scores each case with
@@ -34,9 +37,9 @@ count exactly, and a deadline or external cancellation stops the scan before
 its next oracle call. Both engines also observe deadline and cancellation at
 every node of every search, so a tree scan overruns a deadline by one oracle
 call plus one search node at most. Under a deadline or cancel flag an arc's
-scores are committed only once every case below it is searched, so an arc
-interrupted in its searches counts as used but changes no case, and an
-interrupted scan only assembles its result. A scan that nothing can
+scores and records are committed only once every case below it is searched,
+so an arc interrupted in its searches counts as used but changes no case,
+and an interrupted scan only assembles its result. A scan that nothing can
 interrupt stops at its end, at its comparison budget or at an oracle failure,
 and brings every score current there, before it returns or raises.
 """
@@ -70,14 +73,6 @@ class RetrievalError(RuntimeError):
 # tree structure
 
 @dataclass(eq=False)
-class Slot:
-    """Target of an arc: continuation nodes, plus ids of cases ending here."""
-
-    nodes: list["TreeNode"] = field(default_factory=list)
-    case_ids: list[str] = field(default_factory=list)
-
-
-@dataclass(eq=False)
 class TreeNode:
     predicate: str
     values: tuple[Value, ...]
@@ -96,7 +91,7 @@ class TreeNode:
 class Arc:
     node: "TreeNode"
     test: bool | str
-    child: Slot = field(default_factory=Slot)
+    children: list["TreeNode"] = field(default_factory=list)
     below: frozenset[str] = frozenset()
 
 
@@ -104,9 +99,8 @@ class Arc:
 class CaseTree:
     """Immutable after build_tree; shareable across concurrent scans."""
 
-    root: Slot
+    roots: list[TreeNode]
     cases: dict[str, GenericCase]
-    priority: tuple[str, ...]
     paths: dict[str, tuple[Arc, ...]]
     # per case, the index into its perceptions tested at each branch position
     order: dict[str, tuple[int, ...]]
@@ -117,25 +111,19 @@ class CaseTree:
 
     @property
     def leaf_count(self) -> int:
-        return sum(len(slot.case_ids) for slot in self.iter_slots())
+        return len(self.cases)  # every case ends exactly one branch
 
     @property
     def depth(self) -> int:
         return max((len(path) for path in self.paths.values()), default=0)
 
     def iter_nodes(self) -> Iterable[TreeNode]:
-        stack = list(self.root.nodes)
+        stack = list(self.roots)
         while stack:
             node = stack.pop()
             yield node
             for arc in node.arcs:
-                stack.extend(arc.child.nodes)
-
-    def iter_slots(self) -> Iterable[Slot]:
-        yield self.root
-        for node in self.iter_nodes():
-            for arc in node.arcs:
-                yield arc.child
+                stack.extend(arc.children)
 
     def arc_count(self) -> int:
         return sum(len(node.arcs) for node in self.iter_nodes())
@@ -170,10 +158,11 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
 
     Inserts each case's perceptions in descending priority, reusing a node
     when its {predicate, values} pattern matches and an arc when its tested
-    choice value matches, creating them otherwise; the branch ends in a leaf
-    named by the case id.
+    choice value matches, creating them otherwise. A case's branch is the
+    sequence of arcs it takes, ``tree.paths[case.id]``; every arc knows the
+    ids of the cases whose branch takes it, ``arc.below``.
     """
-    root = Slot()
+    roots: list[TreeNode] = []
     cases: dict[str, GenericCase] = {}
     paths: dict[str, tuple[Arc, ...]] = {}
     orders: dict[str, tuple[int, ...]] = {}
@@ -184,17 +173,17 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
         if case.id in cases:
             raise TreeError(f"duplicate case id {case.id!r}")
         cases[case.id] = case
-        slot = root
+        nodes = roots
         path: list[Arc] = []
         orders[case.id] = order = tuple(_branch_order(case, rank))
         for pos, idx in enumerate(order):
             p = case.perceptions[idx]
-            for node in slot.nodes:
+            for node in nodes:
                 if node.predicate == p.name and node.values == p.values:
                     break
             else:
                 node = TreeNode(p.name, p.values, depth=pos)
-                slot.nodes.append(node)
+                nodes.append(node)
             for arc in node.arcs:
                 if arc.test == p.choice:
                     break
@@ -204,14 +193,12 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
                 below[arc] = []
             below[arc].append(case.id)
             path.append(arc)
-            slot = arc.child
-        slot.case_ids.append(case.id)
+            nodes = arc.children
         paths[case.id] = tuple(path)
 
     for arc, ids in below.items():
         arc.below = frozenset(ids)
-    return CaseTree(root=root, cases=cases, priority=tuple(priority), paths=paths,
-                    order=orders)
+    return CaseTree(roots=roots, cases=cases, paths=paths, order=orders)
 
 
 def linear_perception_count(base: Sequence[GenericCase]) -> int:
@@ -366,15 +353,11 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
     interrupted = _stop_check(budget, start, cancel)
     size, alpha = oracle.size, params.alpha
-    # per case: best score with its restricted binding pairs, tests scanned, pruned
+    # per case: best score with its restricted binding pairs, and (arcs of its
+    # branch tested, its tested prefix that no arc contradicted)
     best = dict.fromkeys(tree.cases, (0.0, ()))
-    scanned = dict.fromkeys(tree.cases, 0)
-    pruned: set[str] = set()
+    record = dict.fromkeys(tree.cases, (0, ()))
     tests_used = 0
-    # when nothing can interrupt the scan, per case not yet scored over its
-    # latest tested prefix: that prefix. The search result depends on the
-    # prefix alone, so such a scan searches each case once, when it stops.
-    pending: dict[str, tuple] = {}
 
     def search(prefixes) -> bool:
         """Score each (case id, tested prefix); commit all of them, or none if
@@ -396,15 +379,19 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         return True
 
     def result() -> RetrievalResult:
-        search(pending.items())
-        return _result({
-            cid: CaseOutcome(score, scanned[cid], cid in pruned, True, Substitution(pairs))
-            for cid, (score, pairs) in best.items()
-        }, tests_used, start)
+        if interrupted is None:  # a score depends on the tested prefix alone
+            search((cid, tested) for cid, (_, tested) in record.items() if tested)
+        per_case = {}
+        for cid, (score, pairs) in best.items():
+            count, tested = record[cid]
+            # with pruning, only the last tested arc of a branch can contradict
+            per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count,
+                                        True, Substitution(pairs))
+        return _result(per_case, tests_used, start)
 
     # per branch position tested and not contradicted: (its depth, its node's
     # generic labels in sorted order, its rows), shared by every case below
-    queue: deque[tuple[TreeNode, tuple]] = deque((node, ()) for node in tree.root.nodes)
+    queue: deque[tuple[TreeNode, tuple]] = deque((node, ()) for node in tree.roots)
     while queue:
         node, tested = queue.popleft()
         labels = sorted(node.generic_labels)
@@ -422,16 +409,14 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             child_tested = tested
             if rows:  # not contradicted: every case below now has a longer prefix
                 child_tested = tested + ((node.depth, labels, rows),)
-                if interrupted is None:
-                    pending.update(dict.fromkeys(arc.below, child_tested))
-                elif not search((cid, child_tested) for cid in arc.below):
+                if interrupted is not None and not search(
+                        (cid, child_tested) for cid in arc.below):
                     return result()
+            seen = (node.depth + 1, child_tested)
             for cid in arc.below:
-                scanned[cid] += 1
-            if not rows and prune:
-                pruned.update(arc.below)
-            else:
-                queue.extend((child, child_tested) for child in arc.child.nodes)
+                record[cid] = seen
+            if rows or not prune:
+                queue.extend((child, child_tested) for child in arc.children)
 
     return result()
 

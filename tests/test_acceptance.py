@@ -84,8 +84,8 @@ def test_criterion_2_tree_structure(three_case_base):
     assert tree.node_count == 5
     assert tree.leaf_count == 3
     assert tree.depth == 3
-    assert len(tree.root.nodes) == 1, "all cases must share one root node"
-    root = tree.root.nodes[0]
+    assert len(tree.roots) == 1, "all cases must share one root node"
+    root = tree.roots[0]
     assert root.label() == "hasball(me)"
     assert sorted(arc.test for arc in root.arcs) == [False, True]
     assert frozenset().union(*(a.below for a in root.arcs)) == {

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -45,13 +46,15 @@ class TestTargetOracle:
         assert oracle.completions("markedBy", pattern, True) == [("Agent.1", "Agent.2")]
 
     def test_results_are_sorted(self):
-        target = ct.TargetCase(perceptions=(
-            ct.Perception("partner", (ct.concrete("Agent.9"),), True),
-            ct.Perception("partner", (ct.concrete("Agent.2"),), True),
-        ))
+        # six rows declared in descending id order: neither declaration order
+        # nor a set's hash order gives the sorted list, whatever the hash seed
+        ids = ("Agent.9", "Agent.8", "Agent.6", "Agent.5", "Agent.3", "Agent.2")
+        target = ct.TargetCase(perceptions=tuple(
+            ct.Perception("partner", (ct.concrete(i),), True) for i in ids))
         oracle = ct.TargetOracle(target)
         got = oracle.completions("partner", (ct.generic("A"),), True)
-        assert got == [("Agent.2",), ("Agent.9",)]
+        assert got == [("Agent.2",), ("Agent.3",), ("Agent.5",), ("Agent.6",), ("Agent.8",),
+                       ("Agent.9",)]
 
 
 class TestScanTree:
@@ -157,7 +160,7 @@ class TestScanTree:
 
         cancel.clear()
         r = ct.scan_tree(tree, CancellingOracle(exact_case1_target), cancel=cancel)
-        assert len(tree.root.nodes[0].arcs) == 2
+        assert len(tree.roots[0].arcs) == 2
         assert r.tests_used == 1
         assert all(oc.scanned == 0 and oc.score == 0.0 for oc in r.per_case.values())
 
@@ -330,11 +333,35 @@ class TestScanTree:
         world = ct.generate_world(seed, players)
         target = ct.elaborate(world, world.self_id, radius=120)
         tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
-        r = ct.scan_tree(tree, ct.TargetOracle(target), ct.ScanBudget.comparisons(budget),
+        calls = []  # (oracle question, its rows), in the order the scan asks
+
+        class Recording(ct.TargetOracle):
+            def completions(self, name, values, desired):
+                rows = super().completions(name, values, desired)
+                calls.append(((name, values, desired), rows))
+                return rows
+
+        r = ct.scan_tree(tree, Recording(target), ct.ScanBudget.comparisons(budget),
                          ct.SimilarityParams(alpha), prune=prune,
                          cancel=threading.Event() if cancel else None)
+        # walk the tree breadth first over the recorded answers: per arc the
+        # scan tested, whether it had a row
+        had_row = {}
+        queue = deque(tree.roots)
+        while queue:
+            node = queue.popleft()
+            for arc in node.arcs[:len(calls) - len(had_row)]:
+                question, rows = calls[len(had_row)]
+                assert question == (node.predicate, node.values, arc.test)
+                had_row[arc] = bool(rows)
+                if rows or not prune:
+                    queue.extend(arc.children)
+        assert len(had_row) == len(calls) == r.tests_used
         for case in base:
             oc = r.per_case[case.id]
+            branch = [had_row[arc] for arc in tree.paths[case.id] if arc in had_row]
+            assert oc.scanned == len(branch), case.id
+            assert oc.pruned == (prune and not all(branch)), case.id
             allowed = tree.order[case.id][:oc.scanned]
             want_score, want_sub, want_matched = brute_force_optimum(case, target, alpha,
                                                                      allowed)

@@ -25,8 +25,8 @@ class TestBuildTree:
             "partner(?B)",
         ]
         # one shared root node carries every case
-        assert len(tree.root.nodes) == 1
-        root = tree.root.nodes[0]
+        assert len(tree.roots) == 1
+        root = tree.roots[0]
         assert root.label() == "hasball(me)"
         assert frozenset().union(*(a.below for a in root.arcs)) == {"case1", "case2", "case3"}
 
@@ -74,9 +74,9 @@ class TestBuildTree:
         ), (1.0, 1.0))
         tree = ct.build_tree([a, b], ("hasball", "partner", "distance"))
         assert tree.node_count == 3
-        root = tree.root.nodes[0]
+        root = tree.roots[0]
         assert len(root.arcs) == 1
-        assert len(root.arcs[0].child.nodes) == 2
+        assert len(root.arcs[0].children) == 2
 
     def test_prefix_case_ends_at_inner_slot(self):
         short = ct.GenericCase("short", (
@@ -89,8 +89,8 @@ class TestBuildTree:
         tree = ct.build_tree([short, long], ("hasball", "partner"))
         assert tree.leaf_count == 2
         assert tree.node_count == 2
-        root_arc = tree.root.nodes[0].arcs[0]
-        assert root_arc.child.case_ids == ["short"]
+        root_arc = tree.roots[0].arcs[0]
+        assert tree.paths["short"] == (root_arc,)
 
 
 class TestCounts:
