@@ -23,12 +23,13 @@ print(f"world {world.wid}: me={world.self_id}, perceives {len(target)} facts, e.
 for p in target.perceptions[:5]:
     print("  ", p)
 
-# %% The world answers predicate queries the way a resolution engine
-# would: free slots come back instantiated.
+# %% Queries about the situation go through the retrieval oracle, the one
+# matcher the scans use too. It answers the way a resolution engine would:
+# a generic label is a free slot, and each row of ids is one way to fill it.
 
-print("\nwho is marked? ", ct.query(world, ct.Query("isMarked", (None,))))
-print("opponents:      ", [b[0] for b, _ in
-                           ct.query(world, ct.Query("partner", (None,), desired=False))])
+ask = ct.TargetOracle(target).completions
+print("\nwho is marked? ", ask("isMarked", (ct.generic("X"),), True))
+print("opponents:      ", [row[0] for row in ask("partner", (ct.generic("X"),), False)])
 
 # %% A small case base acquired from sibling situations.
 

@@ -31,7 +31,6 @@ from .context import (
     Context,
     ContextError,
     FOOTBALL_PRIORITY,
-    ObjectSort,
     PredicateSchema,
     ValueSort,
     Violation,
@@ -74,13 +73,11 @@ from .similarity import (
 )
 from .world import (
     Player,
-    Query,
     WorldSnapshot,
     dump_snapshot,
     elaborate,
     generate_world,
     load_snapshot,
-    query,
 )
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ concrete ids.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,8 +127,8 @@ class GenericCase:
         if len(self.perceptions) != len(self.weights):
             raise CaseError(f"case {self.id}: {len(self.weights)} weights for "
                             f"{len(self.perceptions)} perceptions")
-        if any(w < 0 for w in self.weights):
-            raise CaseError(f"case {self.id}: negative weight")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise CaseError(f"case {self.id}: negative or non-finite weight")
         if sum(self.weights) <= 0:
             raise CaseError(f"case {self.id}: total weight must be positive")
         if len(set(self.perceptions)) != len(self.perceptions):
@@ -356,13 +357,12 @@ GENERIC_LABEL_POOL = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 DEFAULT_WEIGHT = 1.0
 
 
-def generalize(target: TargetCase, action: str, case_id: str = "acquired",
-               default_weight: float = DEFAULT_WEIGHT) -> GenericCase:
+def generalize(target: TargetCase, action: str, case_id: str = "acquired") -> GenericCase:
     """Abstract a concrete situation into a generic case.
 
     Every distinct concrete agent becomes a fresh generic label (in order of
     first appearance); ``me`` is preserved; every perception receives the
-    default relevance weight, to be refined by experts later.
+    relevance weight ``DEFAULT_WEIGHT``, to be refined by experts later.
     """
     labels: dict[str, str] = {}
 
@@ -384,7 +384,7 @@ def generalize(target: TargetCase, action: str, case_id: str = "acquired",
     return GenericCase(
         id=case_id,
         perceptions=tuple(perceptions),
-        weights=(default_weight,) * len(perceptions),
+        weights=(DEFAULT_WEIGHT,) * len(perceptions),
         action=action,
     )
 
@@ -467,8 +467,8 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
             weight = float(raw_weight)
         except ValueError:
             raise ContextError(f"weight {raw_weight!r} is not a number", sub_path) from None
-        if weight < 0:
-            raise ContextError(f"negative weight {weight}", sub_path)
+        if not 0 <= weight < math.inf:
+            raise ContextError(f"negative or non-finite weight {weight}", sub_path)
         values: list[Value] = []
         choice: bool | str | None = None
         for j, node in enumerate(sub, start=1):

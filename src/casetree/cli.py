@@ -27,6 +27,7 @@ from .retrieval import (
     ScanBudget,
     TargetOracle,
     TreeError,
+    UNBOUNDED,
     build_tree,
     linear_perception_count,
     scan_linear,
@@ -143,7 +144,7 @@ def cmd_retrieve(args) -> int:
     elif args.budget is not None:
         budget = ScanBudget.comparisons(args.budget)
     else:
-        budget = ScanBudget.unbounded()
+        budget = UNBOUNDED
 
     if args.engine == "tree":
         tree = build_tree(cases, priority)

@@ -27,8 +27,8 @@ labels are joined with commas and stripped, and case documents read the
 choices ``true`` and ``false`` as Booleans, no domain may be named
 ``Boolean`` and every label must be non-empty, free of commas and of
 surrounding whitespace, and neither ``true`` nor ``false``. Object
-sorts are not declared in the file: they come from the built-in catalogue
-(see ``football_sorts``), a tree rooted at DomainObject.
+sorts are not declared in the file: they come from the built-in tree
+``SORTS``, rooted at DomainObject.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 from xml.sax.saxutils import escape
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,41 +95,28 @@ def qualitative(domain: str, labels: Iterable[str]) -> ValueSort:
     return ValueSort("qualitative", domain, tuple(labels))
 
 
-@dataclass(frozen=True)
-class ObjectSort:
-    """A node of the object-sort tree; ``parent`` is a sort name or None for the root."""
-
-    name: str
-    parent: str | None = None
-
-
-def football_sorts() -> dict[str, ObjectSort]:
-    """The built-in sort catalogue.
-
-    Agent sits under PhysicalObject so that predicates ranging over physical
-    objects (distance, relativePosition) accept players and the ball alike.
-    """
-    sorts = [
-        ObjectSort("DomainObject"),
-        ObjectSort("PhysicalObject", "DomainObject"),
-        ObjectSort("Agent", "PhysicalObject"),
-        ObjectSort("Ball", "PhysicalObject"),
-        ObjectSort("Goal", "PhysicalObject"),
-        ObjectSort("Field", "PhysicalObject"),
-        ObjectSort("Team", "DomainObject"),
-        ObjectSort("Action", "DomainObject"),
-    ]
-    return {s.name: s for s in sorts}
+#: The built-in object sorts, each mapped to its parent (None for the root).
+#: Agent sits under PhysicalObject so that predicates ranging over physical
+#: objects (distance, relativePosition) accept players and the ball alike.
+SORTS: dict[str, str | None] = {
+    "DomainObject": None,
+    "PhysicalObject": "DomainObject",
+    "Agent": "PhysicalObject",
+    "Ball": "PhysicalObject",
+    "Goal": "PhysicalObject",
+    "Field": "PhysicalObject",
+    "Team": "DomainObject",
+    "Action": "DomainObject",
+}
 
 
-def conforms(sort: str, expected: str, sorts: Mapping[str, ObjectSort]) -> bool:
-    """True when ``sort`` equals ``expected`` or is one of its descendants."""
+def conforms(sort: str, expected: str) -> bool:
+    """True when ``sort`` is ``expected`` or lies below it in ``SORTS``."""
     cur: str | None = sort
     while cur is not None:
         if cur == expected:
             return True
-        entry = sorts.get(cur)
-        cur = entry.parent if entry else None
+        cur = SORTS.get(cur)
     return False
 
 
@@ -160,17 +147,13 @@ class PredicateSchema:
 
 @dataclass(frozen=True)
 class Context:
-    """An immutable predicate vocabulary plus its sort and domain tables.
+    """An immutable predicate vocabulary plus its domain table.
 
     Safe to share across any number of concurrent retrieval sessions.
     """
 
     predicates: dict[str, PredicateSchema]
     domains: dict[str, ValueSort] = field(default_factory=dict)
-    sorts: dict[str, ObjectSort] = field(default_factory=football_sorts)
-
-    def schema(self, name: str) -> PredicateSchema:
-        return self.predicates[name]
 
 
 @dataclass(frozen=True)
@@ -197,7 +180,7 @@ def validate_perception(p: "Perception", ctx: Context) -> Violation | None:
         )
     for value, (var, sort_name) in zip(p.values, schema.params):
         value_sort = "Agent" if value.kind in ("me", "generic", "concrete") else value.sort
-        if value_sort is None or not conforms(value_sort, sort_name, ctx.sorts):
+        if value_sort is None or not conforms(value_sort, sort_name):
             return Violation(
                 "sort",
                 f"{p.name}.{var} expects sort {sort_name}, got {value_sort or 'untyped'} ({value})",
@@ -218,17 +201,17 @@ CLOSE_MAX = 8.0   # meters; close is [0, CLOSE_MAX)
 FAR_MAX = 20.0    # far is [CLOSE_MAX, FAR_MAX], long is (FAR_MAX, inf)
 
 
-def quantize_distance(meters: float, close_max: float = CLOSE_MAX, far_max: float = FAR_MAX) -> str:
+def quantize_distance(meters: float) -> str:
     """Map a metric distance onto the qualitative distance domain.
 
-    Boundary values belong to "far": [0, close_max) -> close,
-    [close_max, far_max] -> far, (far_max, inf) -> long.
+    Boundary values belong to "far": [0, CLOSE_MAX) -> close,
+    [CLOSE_MAX, FAR_MAX] -> far, (FAR_MAX, inf) -> long.
     """
     if not math.isfinite(meters) or meters < 0:
         raise ValueError(f"distance must be a finite non-negative number, got {meters!r}")
-    if meters < close_max:
+    if meters < CLOSE_MAX:
         return "close"
-    if meters <= far_max:
+    if meters <= FAR_MAX:
         return "far"
     return "long"
 
@@ -243,7 +226,7 @@ def _attr(elem: ET.Element, name: str, path: str) -> str:
     return value
 
 
-def parse_context(document: str, sorts: Mapping[str, ObjectSort] | None = None) -> Context:
+def parse_context(document: str) -> Context:
     """Parse a context document into a Context.
 
     Raises ContextError for malformed XML, unknown sort names, duplicate
@@ -256,7 +239,6 @@ def parse_context(document: str, sorts: Mapping[str, ObjectSort] | None = None) 
     if root.tag != "ctx":
         raise ContextError(f"expected <ctx> root, found <{root.tag}>", root.tag)
 
-    sort_table = dict(sorts) if sorts is not None else football_sorts()
     domains: dict[str, ValueSort] = {}
     predicates: dict[str, PredicateSchema] = {}
     pred_idx = 0
@@ -279,14 +261,14 @@ def parse_context(document: str, sorts: Mapping[str, ObjectSort] | None = None) 
             name = _attr(child, "name", path)
             if name in predicates:
                 raise ContextError(f"duplicate predicate {name!r}", path)
-            predicates[name] = _parse_schema(child, name, path, sort_table, domains)
+            predicates[name] = _parse_schema(child, name, path, domains)
         else:
             raise ContextError(f"unexpected element <{child.tag}>", f"ctx/{child.tag}")
 
-    return Context(predicates=predicates, domains=domains, sorts=sort_table)
+    return Context(predicates=predicates, domains=domains)
 
 
-def _parse_schema(elem, name, path, sort_table, domains) -> PredicateSchema:
+def _parse_schema(elem, name, path, domains) -> PredicateSchema:
     params: list[tuple[str, str]] = []
     choice: tuple[str, ValueSort] | None = None
     for sub in elem:
@@ -294,7 +276,7 @@ def _parse_schema(elem, name, path, sort_table, domains) -> PredicateSchema:
             sub_path = f"{path}/variable[{len(params) + 1}]"
             var = _attr(sub, "name", sub_path)
             sort_name = _attr(sub, "type", sub_path)
-            if sort_name not in sort_table:
+            if sort_name not in SORTS:
                 raise ContextError(f"unknown sort {sort_name!r}", sub_path)
             params.append((var, sort_name))
         elif sub.tag == "choice":

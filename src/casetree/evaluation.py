@@ -90,15 +90,16 @@ def retrieve_set(target: TargetCase, base: Sequence[GenericCase],
                  threshold: float = 0.5) -> tuple[frozenset[str], float | None]:
     """Cases scoring at least ``threshold``, plus the least similarity among
     them (None when nothing qualifies)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     return _retrieved({c.id: similarity(c, target, params) for c in base}, threshold)
 
 
 def _retrieved(scores: Mapping[str, float], threshold: float
                ) -> tuple[frozenset[str], float | None]:
     """The ids scoring at least ``threshold``, plus the least score among
-    them (None when nothing qualifies)."""
+    them (None when nothing qualifies). Raises ValueError unless ``threshold``
+    lies in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     c2 = frozenset(cid for cid, s in scores.items() if s >= threshold)
     return c2, min((scores[cid] for cid in c2), default=None)
 

@@ -237,10 +237,6 @@ class ScanBudget:
     def deadline(cls, seconds: float) -> "ScanBudget":
         return cls("deadline", seconds=seconds)
 
-    @classmethod
-    def unbounded(cls) -> "ScanBudget":
-        return cls()
-
 
 UNBOUNDED = ScanBudget()
 

@@ -1,8 +1,11 @@
-"""A deterministic toy football world that answers predicate queries.
+"""A deterministic toy football world and its elaboration into perceptions.
 
 This is the "context box" feeding retrieval: it turns raw state (positions,
-possession, marking) into semantic perceptions. Nothing moves here; a
-snapshot is one instant, and every operation on it is pure.
+possession, marking) into semantic perceptions, and ``TargetOracle``
+answers predicate queries over them. Nothing moves here; a snapshot is one
+instant, and every operation on it is pure. Its objects take their sorts
+from ``context.SORTS``: players are Agents, the ball a Ball, teams a Team
+and the last action an Action.
 
 Artifact-defined semantics, chosen to keep targets desk-scale:
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cases import ME, Perception, TargetCase, concrete, const
 from .context import Context, football_context, quantize_distance, validate_perception
@@ -94,17 +97,6 @@ class WorldSnapshot:
             if p.pid == pid:
                 return p
         raise KeyError(pid)
-
-
-@dataclass(frozen=True)
-class Query:
-    """A predicate with slots either bound to instance ids/constants or free
-    (None). ``desired`` optionally restricts answers to one intended choice
-    value, the form a retrieval test uses."""
-
-    name: str
-    args: tuple[str | None, ...]
-    desired: bool | str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -234,53 +226,6 @@ def elaborate(world: WorldSnapshot, self_id: str,
         if validate_perception(renamed, ctx) is None:
             kept.append(renamed)
     return TargetCase(perceptions=tuple(kept), origin=world.wid)
-
-
-# ---------------------------------------------------------------------------
-# queries
-
-def query(world: WorldSnapshot, q: Query, ctx: Context | None = None,
-          radius: float = DEFAULT_RADIUS) -> list[tuple[tuple[str, ...], bool | str]]:
-    """Answer a predicate query against the observer's perceived context.
-
-    Returns (fully bound argument tuple, choice value) pairs, ordered by
-    instance id. Free slots (None) are completed against the elaborated
-    perception set of the snapshot's own observer. Without a ``desired``
-    value, a Boolean query with free slots returns only validating (true)
-    completions, and a fully bound query reports the actual value; with
-    ``desired`` set, only completions achieving that value are returned.
-    """
-    ctx = ctx if ctx is not None else football_context()
-    if q.name not in ctx.predicates:
-        raise ValueError(f"unknown predicate {q.name!r}")
-    schema = ctx.predicates[q.name]
-    if len(q.args) != schema.arity:
-        raise ValueError(f"{q.name} expects {schema.arity} argument(s), got {len(q.args)}")
-
-    target = elaborate(world, world.self_id, radius=radius, ctx=ctx)
-    fully_bound = all(a is not None for a in q.args)
-    results = []
-    for p in target.perceptions:
-        if p.name != q.name:
-            continue
-        ok = True
-        for want, have in zip(q.args, p.values):
-            if want is None:
-                continue
-            name = "me" if have.kind == "me" else have.name
-            if want != name:
-                ok = False
-                break
-        if not ok:
-            continue
-        if q.desired is not None:
-            if p.choice != q.desired:
-                continue
-        elif not fully_bound and schema.choice.kind == "boolean" and p.choice is not True:
-            continue
-        bound = tuple("me" if v.kind == "me" else v.name for v in p.values)
-        results.append((bound, p.choice))
-    return sorted(set(results), key=lambda r: r[0])
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,15 @@ class TestParseCase:
             ct.parse_case_base(bad, small_ctx)
         assert "negative" in str(err.value)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, small_ctx, fixture_dir, weight):
+        text = (fixture_dir / "three.cases.xml").read_text()
+        bad = text.replace('weight="0.3"', f'weight="{weight}"', 1)
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_case_base(bad, small_ctx)
+        assert "non-finite" in str(err.value)
+        assert err.value.path == "case[@id='case1']/predicate[1]"
+
     def test_zero_total_weight_rejected(self, small_ctx):
         doc = ('<case id="z"><predicate name="hasball" weight="0.0">'
                '<value val="me" type="Me"/><choice val="true"/></predicate></case>')
@@ -351,6 +360,12 @@ class TestInvariants:
     def test_target_rejects_generic_agents(self):
         with pytest.raises(ct.CaseError):
             ct.TargetCase(perceptions=(P("hasball", [ct.generic("A")], True),))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_generic_case_rejects_non_finite_weights(self, weight):
+        with pytest.raises(ct.CaseError, match="non-finite"):
+            ct.GenericCase("bad", (P("hasball", [ct.ME], True),
+                                   P("partner", [ct.ME], True)), (1.0, weight))
 
     def test_duplicate_perceptions_rejected(self):
         p = P("hasball", [ct.ME], True)

@@ -54,6 +54,15 @@ class TestBuild:
         assert code == 2
         assert "flies" in capsys.readouterr().err
 
+    def test_non_finite_weight_is_validation_failure(self, paths, fixture_dir, tmp_path,
+                                                     capsys):
+        bad = tmp_path / "nan.xml"
+        text = (fixture_dir / "three.cases.xml").read_text()
+        bad.write_text(text.replace('weight="0.3"', 'weight="nan"', 1))
+        code = main(["build", "--ctx", paths["ctx"], "--base", str(bad)])
+        assert code == 2
+        assert "non-finite weight" in capsys.readouterr().err
+
     def test_missing_file_is_validation_failure(self, paths):
         assert main(["build", "--ctx", paths["ctx"], "--base", "/no/such.xml"]) == 2
 
@@ -189,6 +198,18 @@ class TestBench:
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[0]
         assert header.startswith("target,alpha,budget,engine,recall,precision")
+
+    @pytest.mark.parametrize("suite", ["alpha", "budget"])
+    @pytest.mark.parametrize("threshold", ["2", "-1", "nan"])
+    def test_threshold_outside_unit_interval_is_validation_failure(
+            self, paths, capsys, suite, threshold):
+        out = paths["tmp"] / "x.csv"
+        code = main(["bench", suite, "--ctx", paths["ctx"], "--base", paths["base"],
+                     "--world", paths["world"], "--budgets", "0,2", "--reps", "1",
+                     "--threshold", threshold, "--out", str(out)])
+        assert code == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_requires_world_for_metric_suites(self, paths):
         out = paths["tmp"] / "x.csv"

@@ -11,10 +11,10 @@ from support import xml_text_ok
 class TestParseContext:
     def test_small_context_contents(self, small_ctx):
         assert list(small_ctx.predicates) == ["hasball", "partner", "distance"]
-        hasball = small_ctx.schema("hasball")
+        hasball = small_ctx.predicates["hasball"]
         assert hasball.params == (("Y1", "Agent"),)
         assert hasball.choice.kind == "boolean"
-        distance = small_ctx.schema("distance")
+        distance = small_ctx.predicates["distance"]
         assert distance.params == (("Z1", "PhysicalObject"), ("Z2", "Agent"))
         assert distance.choice.labels == ("close", "far", "long")
 
@@ -206,7 +206,3 @@ class TestQuantizeDistance:
         lo, hi = sorted((a, b))
         order = {label: i for i, label in enumerate(DISTANCE_LABELS)}
         assert order[ct.quantize_distance(lo)] <= order[ct.quantize_distance(hi)]
-
-    def test_custom_bands(self):
-        assert ct.quantize_distance(9.0, close_max=10.0) == "close"
-        assert ct.quantize_distance(30.0, far_max=35.0) == "far"

@@ -147,6 +147,13 @@ class TestSweepBudget:
         assert tree_row.precision == pytest.approx(lin_row.precision, abs=1e-9)
         assert tree_row.recall == 1.0  # truth derived from the same scores
 
+    @pytest.mark.parametrize("threshold", [2.0, -1.0, float("nan")])
+    def test_threshold_validated(self, threshold):
+        base, target, tree, truth = self.setup_case()
+        with pytest.raises(ValueError, match="threshold"):
+            ct.sweep_budget({target.origin: target}, base, tree, truth,
+                            budgets=[0], repetitions=1, threshold=threshold)
+
     def test_budget_zero_rows_are_zero(self):
         base, target, tree, truth = self.setup_case()
         rows = ct.sweep_budget({target.origin: target}, base, tree, truth,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -55,6 +56,47 @@ class TestTargetOracle:
         got = oracle.completions("partner", (ct.generic("A"),), True)
         assert got == [("Agent.2",), ("Agent.3",), ("Agent.5",), ("Agent.6",), ("Agent.8",),
                        ("Agent.9",)]
+
+    def test_exhaustive_against_entity_enumeration(self, football_ctx):
+        """With a fresh label in every agent slot of a held perception's
+        pattern, completions are exactly the injective agent tuples the
+        observer holds with the asked choice: none missed, none invented."""
+        for n_players in (6, 8):
+            for seed in (3, 4, 5):
+                world = ct.generate_world(seed, n_players)
+                agents = [p.pid for p in world.players if p.pid != world.self_id]
+                for radius in (30.0, 120.0):
+                    target = ct.elaborate(world, world.self_id, radius, football_ctx)
+                    oracle = ct.TargetOracle(target)
+                    held = target.perception_set
+                    patterns = {(p.name, tuple(ct.generic(f"L{k}") if v.kind == "concrete"
+                                               else v for k, v in enumerate(p.values)))
+                                for p in target.perceptions}
+                    for name, pattern in patterns:
+                        choice_sort = football_ctx.predicates[name].choice
+                        slots = [k for k, v in enumerate(pattern) if v.kind == "generic"]
+                        for choice in choice_sort.labels or (False, True):
+                            expected = []
+                            for ids in itertools.permutations(agents, len(slots)):
+                                values = list(pattern)
+                                for k, pid in zip(slots, ids):
+                                    values[k] = ct.concrete(pid)
+                                if ct.Perception(name, tuple(values), choice) in held:
+                                    expected.append(ids)
+                            got = oracle.completions(name, pattern, choice)
+                            assert got == sorted(expected), (world.wid, radius, name, choice)
+
+    def test_consistent_with_elaborate(self):
+        """Every held perception's ground pattern holds, and with its Boolean
+        flipped it does not."""
+        for seed, n_players in ((11, 4), (11, 22)):
+            world = ct.generate_world(seed, n_players)
+            target = ct.elaborate(world, world.self_id, 120.0)
+            oracle = ct.TargetOracle(target)
+            for p in target.perceptions:
+                assert oracle.completions(p.name, p.values, p.choice) == [()]
+                if isinstance(p.choice, bool):
+                    assert oracle.completions(p.name, p.values, not p.choice) == []
 
 
 class TestScanTree:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 import casetree as ct
@@ -19,77 +17,6 @@ def compact_world(marked=True):
     )
     return ct.WorldSnapshot(wid="compact", players=players, ball=(56.0, 30.0),
                             self_id="Agent.1")
-
-
-class TestQuery:
-    def test_free_boolean_returns_validating_instantiation(self):
-        got = ct.query(compact_world(), ct.Query("isMarked", (None,)))
-        assert got == [(("Agent.3",), True)]
-
-    def test_no_marked_player_returns_empty(self):
-        got = ct.query(compact_world(marked=False), ct.Query("isMarked", (None,)))
-        assert got == []
-
-    def test_fully_bound_distance(self):
-        # ball 12 m away from Agent.2
-        players = (
-            Player("Agent.1", "teamA", 50.0, 30.0),
-            Player("Agent.2", "teamA", 62.0, 30.0),
-        )
-        # one player per team is not required; marking is, so none here
-        world = ct.WorldSnapshot(wid="pair", players=players, ball=(50.0, 30.0),
-                                 self_id="Agent.1")
-        got = ct.query(world, ct.Query("distance", ("ball", "Agent.2")))
-        assert got == [(("ball", "Agent.2"), "far")]
-
-    def test_fully_bound_reports_false_values(self):
-        got = ct.query(compact_world(), ct.Query("hasBall", ("me",)))
-        assert got == [(("me",), False)]
-
-    def test_desired_value_restricts_completions(self):
-        world = compact_world()
-        opponents = ct.query(world, ct.Query("partner", (None,), desired=False))
-        assert [b[0] for b, _ in opponents] == ["Agent.3", "Agent.4"]
-        partners = ct.query(world, ct.Query("partner", (None,), desired=True))
-        assert ("Agent.2",) in [b for b, _ in partners]
-
-    def test_unknown_predicate(self):
-        with pytest.raises(ValueError):
-            ct.query(compact_world(), ct.Query("levitates", (None,)))
-
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            ct.query(compact_world(), ct.Query("distance", (None,)))
-
-    def test_exhaustive_against_entity_enumeration(self):
-        """Free-slot completions miss nothing: every entity tuple whose
-        perception the observer holds comes back."""
-        for seed in (3, 4, 5):
-            world = ct.generate_world(seed, 6)
-            target = ct.elaborate(world, world.self_id)
-            entities = ["me", "ball", "teamA", "teamB", "pass"] + [
-                p.pid for p in world.players
-            ]
-            held = {(p.name, tuple("me" if v.kind == "me" else v.name for v in p.values)): p.choice
-                    for p in target.perceptions}
-            for name in ("isMarked", "partner", "distance", "markedBy"):
-                schema = ct.football_context().schema(name)
-                free = ct.Query(name, (None,) * schema.arity)
-                got = dict(ct.query(world, free))
-                for combo in itertools.product(entities, repeat=schema.arity):
-                    choice = held.get((name, combo))
-                    if choice is None:
-                        assert combo not in got
-                    elif schema.choice.kind != "boolean" or choice is True:
-                        assert got[combo] == choice
-
-    def test_consistent_with_elaborate(self):
-        world = ct.generate_world(11, 4)
-        target = ct.elaborate(world, world.self_id)
-        for p in target.perceptions:
-            args = tuple("me" if v.kind == "me" else v.name for v in p.values)
-            got = ct.query(world, ct.Query(p.name, args))
-            assert got == [(args, p.choice)]
 
 
 class TestElaborate:
