@@ -36,7 +36,7 @@ ctx = ct.parse_context(CONTEXT)
 print("declared predicates:")
 for schema in ctx.predicates.values():
     params = ", ".join(f"{v}:{s}" for v, s in schema.params)
-    kind = "Boolean" if schema.choice.kind == "boolean" else set(schema.choice.labels)
+    kind = "Boolean" if schema.choice.kind == "boolean" else schema.choice.labels
     print(f"  {schema.name}({params}) -> {kind}")
 
 # %% Qualitative values abstract numbers: the metric distance collapses

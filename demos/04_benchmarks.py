@@ -89,7 +89,7 @@ for r in alpha_rows:
 
 full = max(tree.arc_count(), ct.linear_perception_count(base))
 budgets = list(range(0, full + 6, 5))
-budget_rows = ct.sweep_budget(targets, base, tree, truth, budgets,
+budget_rows = ct.sweep_budget(targets, tree, truth, budgets,
                               repetitions=100, seed=9, threshold=threshold)
 (OUT / "budget_sweep.csv").write_text(ct.format_metric_csv(budget_rows))
 

@@ -33,7 +33,6 @@ from .context import (
     FOOTBALL_PRIORITY,
     PredicateSchema,
     ValueSort,
-    Violation,
     football_context,
     parse_context,
     qualitative,

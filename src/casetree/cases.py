@@ -32,12 +32,14 @@ Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every injective way a perception pattern can be bound so that it occurs
 in the target, as rows of ids. ``_search_bindings`` finds a case's best
 injective binding by a bounded depth-first search over those rows: it is exact
-at every agent count and can be interrupted at every search node. ``unify``
-and ``similarity.scored_unify`` run it over every perception of a case;
-``retrieval.scan_tree`` runs it for each case below a tested arc, over the rows
-its tree branch has tested so far. Acquisition's dedupe, ``case_equivalent``,
-runs the same matcher and search with the stored case's labels standing in as
-concrete ids.
+at every agent count and can be interrupted at every search node. Both follow
+one label order, which ``pattern_labels`` owns: a row holds its ids in the
+sorted order of the pattern's generic labels, and the search decides labels
+in that order. ``unify`` and ``similarity.scored_unify`` run the search over
+every perception of a case; ``retrieval.scan_tree`` runs it for each case
+below a tested arc, over the rows its tree branch has tested so far.
+Acquisition's dedupe, ``case_equivalent``, runs the same matcher and search
+with the stored case's labels standing in as concrete ids.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 from xml.sax.saxutils import escape
 
-from .context import (Context, ContextError, Violation, _attr, validate_perception,
-                      xml_attribute)
+from .context import Context, ContextError, _attr, _root, validate_perception, xml_attribute
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,18 @@ def const(name: str, sort: str) -> Value:
     return Value("const", name, sort)
 
 
+def pattern_labels(values: Iterable[Value]) -> tuple[str, ...]:
+    """The distinct generic labels among ``values``, sorted: the column order
+    of ``TargetCase.completions`` rows and the order in which the binding
+    search decides labels."""
+    labels: list[str] = []
+    for v in values:
+        if v.kind == "generic" and v.name not in labels:
+            labels.append(v.name)
+    labels.sort()
+    return tuple(labels)
+
+
 @dataclass(frozen=True)
 class Perception:
     """One (predicate, arguments, choice value) triple."""
@@ -102,11 +116,7 @@ class Perception:
 
     @property
     def generic_labels(self) -> tuple[str, ...]:
-        seen = []
-        for v in self.values:
-            if v.kind == "generic" and v.name not in seen:
-                seen.append(v.name)
-        return tuple(seen)
+        return pattern_labels(self.values)
 
 
 class CaseError(ValueError):
@@ -144,12 +154,7 @@ class GenericCase:
 
     @property
     def generic_labels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for p in self.perceptions:
-            for label in p.generic_labels:
-                if label not in seen:
-                    seen.append(label)
-        return tuple(seen)
+        return pattern_labels([v for p in self.perceptions for v in p.values])
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,7 @@ class TargetCase:
         sorted order of their labels, rows in sorted order. A way that binds one
         id to two labels extends no binding and is left out. A fully ground
         pattern yields ``[()]`` on success and ``[]`` on failure."""
-        labels = sorted({v.name for v in values if v.kind == "generic"})
+        labels = pattern_labels(values)
         out: set[tuple[str, ...]] = set()
         for entry in self._by_test.get((name, desired), ()):
             if len(entry.values) != len(values):
@@ -329,7 +334,7 @@ def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None)
     ``target``: (best_value, Substitution, frozenset of matched indices), or
     None once ``interrupted()`` holds."""
     found = _search_bindings(source.weights, [
-        (i, sorted(p.generic_labels), target.completions(p.name, p.values, p.choice))
+        (i, p.generic_labels, target.completions(p.name, p.values, p.choice))
         for i, p in enumerate(source.perceptions)
     ], objective, interrupted)
     if found is None:
@@ -440,15 +445,7 @@ def _parse_choice(raw: str) -> bool | str:
 
 def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
     """Parse and validate one ``case`` element (or document)."""
-    if isinstance(document, str):
-        try:
-            elem = ET.fromstring(document)
-        except ET.ParseError as exc:
-            raise ContextError(f"malformed document: {exc}", "case") from None
-    else:
-        elem = document
-    if elem.tag != "case":
-        raise ContextError(f"expected <case>, found <{elem.tag}>", elem.tag)
+    elem = _root(document, "case")
     case_id = elem.get("id")
     if not case_id:
         raise ContextError("case needs an id attribute", "case")
@@ -486,7 +483,7 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
         p = Perception(name, tuple(values), choice)
         violation = validate_perception(p, ctx)
         if violation is not None:
-            raise ContextError(str(violation), sub_path)
+            raise ContextError(violation, sub_path)
         perceptions.append(p)
         weights.append(weight)
 
@@ -499,21 +496,18 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
 def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tuple[str, ...]]:
     """Parse a ``caseBase`` document into (cases, priority order).
 
-    Duplicate case ids are errors; the priority element is required and must
-    cover every predicate the cases use.
+    Duplicate case ids are errors; exactly one priority element is required,
+    and it must cover every predicate the cases use.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise ContextError(f"malformed document: {exc}", "caseBase") from None
-    if root.tag != "caseBase":
-        raise ContextError(f"expected <caseBase> root, found <{root.tag}>", root.tag)
+    root = _root(document, "caseBase")
 
     priority: tuple[str, ...] | None = None
     cases: list[GenericCase] = []
     seen: set[str] = set()
     for child in root:
         if child.tag == "priority":
+            if priority is not None:
+                raise ContextError("more than one priority element", "caseBase/priority")
             names = [n.strip() for n in (child.text or "").replace(",", " ").split()]
             priority = tuple(names)
         elif child.tag == "case":

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import CaseError, parse_case_base
+from .cases import parse_case_base
 from .context import ContextError, parse_context
 from .evaluation import (
     format_memory_csv,
@@ -26,7 +26,6 @@ from .retrieval import (
     RetrievalError,
     ScanBudget,
     TargetOracle,
-    TreeError,
     UNBOUNDED,
     build_tree,
     linear_perception_count,
@@ -118,6 +117,8 @@ def _load_targets(args, ctx):
     targets = {}
     for path in args.world:
         world = load_snapshot(Path(path).read_text(encoding="utf-8"))
+        if world.wid in targets:
+            raise ContextError(f"two snapshots have world id {world.wid!r}", path)
         self_id = args.self_id or world.self_id
         targets[world.wid] = elaborate(world, self_id, radius=args.radius, ctx=ctx)
     return targets
@@ -205,7 +206,7 @@ def cmd_bench(args) -> int:
                 step = max(1, full // 24)
                 budgets = list(range(0, full + step, step))
             metric_rows = sweep_budget(
-                targets, cases, tree, truth, budgets,
+                targets, tree, truth, budgets,
                 repetitions=args.reps, seed=args.seed,
                 params=SimilarityParams(alpha=args.alpha),
                 threshold=args.threshold, prune=args.prune,
@@ -225,10 +226,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ContextError, CaseError, TreeError, FileNotFoundError) as exc:
-        sys.stderr.write(f"casetree: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"casetree: {exc}\n")
         return 2
     except RetrievalError as exc:

@@ -20,15 +20,14 @@ Context file format (XML, UTF-8)::
       </predicate>
     </ctx>
 
-Qualitative domains are declared once per document, either with a ``domain``
-element or inline through a ``values`` attribute on the first ``choice`` that
-uses them; ``serialize_context`` always emits the ``domain`` form. Because
-labels are joined with commas and stripped, and case documents read the
-choices ``true`` and ``false`` as Booleans, no domain may be named
-``Boolean`` and every label must be non-empty, free of commas and of
-surrounding whitespace, and neither ``true`` nor ``false``. Object
-sorts are not declared in the file: they come from the built-in tree
-``SORTS``, rooted at DomainObject.
+A qualitative domain is declared by a ``domain`` element before the first
+``choice`` that uses it; a ``choice`` type is either ``Boolean`` or the name
+of a domain declared so. Because labels are joined with commas and
+stripped, and case documents read the choices ``true`` and ``false`` as
+Booleans, no domain may be named ``Boolean`` and every label must be
+non-empty, free of commas and of surrounding whitespace, and neither
+``true`` nor ``false``. Object sorts are not declared in the file: they come
+from the built-in tree ``SORTS``, rooted at DomainObject.
 """
 
 from __future__ import annotations
@@ -156,40 +155,25 @@ class Context:
     domains: dict[str, ValueSort] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """Structured validation failure; ``kind`` is one of
+def validate_perception(p: "Perception", ctx: Context) -> str | None:
+    """Check one perception against the context: None when it conforms, else
+    the failure as ``"<kind>: <message>"``, kind being one of
     unknown-predicate | arity | sort | value."""
-
-    kind: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.message}"
-
-
-def validate_perception(p: "Perception", ctx: Context) -> Violation | None:
-    """Check one perception against the context; None means it conforms."""
     schema = ctx.predicates.get(p.name)
     if schema is None:
-        return Violation("unknown-predicate", f"predicate {p.name!r} is not declared")
+        return f"unknown-predicate: predicate {p.name!r} is not declared"
     if len(p.values) != schema.arity:
-        return Violation(
-            "arity",
-            f"{p.name} expects {schema.arity} argument(s), got {len(p.values)}",
-        )
+        return f"arity: {p.name} expects {schema.arity} argument(s), got {len(p.values)}"
     for value, (var, sort_name) in zip(p.values, schema.params):
         value_sort = "Agent" if value.kind in ("me", "generic", "concrete") else value.sort
         if value_sort is None or not conforms(value_sort, sort_name):
-            return Violation(
-                "sort",
-                f"{p.name}.{var} expects sort {sort_name}, got {value_sort or 'untyped'} ({value})",
-            )
+            return (f"sort: {p.name}.{var} expects sort {sort_name}, "
+                    f"got {value_sort or 'untyped'} ({value})")
     if not schema.choice.accepts(p.choice):
         expected = "Boolean" if schema.choice.kind == "boolean" else (
             "{" + ", ".join(schema.choice.labels) + "}"
         )
-        return Violation("value", f"{p.name} choice {p.choice!r} not in {expected}")
+        return f"value: {p.name} choice {p.choice!r} not in {expected}"
     return None
 
 
@@ -226,18 +210,26 @@ def _attr(elem: ET.Element, name: str, path: str) -> str:
     return value
 
 
+def _root(document: str | ET.Element, tag: str) -> ET.Element:
+    """The root element of a document, parsed first when it is a string.
+    Raises ContextError when the text is malformed or the root is not ``tag``."""
+    if isinstance(document, str):
+        try:
+            document = ET.fromstring(document)
+        except ET.ParseError as exc:
+            raise ContextError(f"malformed document: {exc}", tag) from None
+    if document.tag != tag:
+        raise ContextError(f"expected <{tag}> root, found <{document.tag}>", document.tag)
+    return document
+
+
 def parse_context(document: str) -> Context:
     """Parse a context document into a Context.
 
     Raises ContextError for malformed XML, unknown sort names, duplicate
-    predicate names, or undeclared qualitative domains.
+    predicate names, or qualitative domains no earlier ``domain`` declares.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise ContextError(f"malformed document: {exc}", "ctx") from None
-    if root.tag != "ctx":
-        raise ContextError(f"expected <ctx> root, found <{root.tag}>", root.tag)
+    root = _root(document, "ctx")
 
     domains: dict[str, ValueSort] = {}
     predicates: dict[str, PredicateSchema] = {}
@@ -287,22 +279,10 @@ def _parse_schema(elem, name, path, domains) -> PredicateSchema:
             type_name = _attr(sub, "type", sub_path)
             if type_name == "Boolean":
                 choice = (var, BOOLEAN)
-            else:
-                values = sub.get("values")
-                if values is not None:
-                    labels = [v.strip() for v in values.split(",") if v.strip()]
-                    try:
-                        inline = qualitative(type_name, labels)
-                    except ValueError as exc:
-                        raise ContextError(str(exc), sub_path) from None
-                    if type_name in domains and domains[type_name] != inline:
-                        raise ContextError(
-                            f"domain {type_name!r} redeclared with different labels", sub_path
-                        )
-                    domains[type_name] = inline
-                if type_name not in domains:
-                    raise ContextError(f"unknown qualitative domain {type_name!r}", sub_path)
+            elif type_name in domains:
                 choice = (var, domains[type_name])
+            else:
+                raise ContextError(f"unknown qualitative domain {type_name!r}", sub_path)
         else:
             raise ContextError(f"unexpected element <{sub.tag}>", f"{path}/{sub.tag}")
     if choice is None:

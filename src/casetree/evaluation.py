@@ -119,12 +119,13 @@ def sweep_alpha(target: TargetCase, base: Sequence[GenericCase],
     return rows
 
 
-def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
-                 tree: CaseTree, truth: Mapping[str, frozenset[str]],
+def sweep_budget(targets: Mapping[str, TargetCase], tree: CaseTree,
+                 truth: Mapping[str, frozenset[str]],
                  budgets: Sequence[int], repetitions: int = 100, seed: int = 0,
                  params: SimilarityParams = DEFAULT_PARAMS,
                  threshold: float = 0.5, prune: bool = True) -> list[MetricRow]:
-    """Tree vs linear retrieval quality as the comparison budget grows.
+    """Tree vs linear retrieval quality as the comparison budget grows, over
+    the cases ``tree`` was compiled from.
 
     Tree rows come from one deterministic scan per budget. Linear rows
     average ``repetitions`` random case orders drawn from ``seed``; a case
@@ -134,6 +135,7 @@ def sweep_budget(targets: Mapping[str, TargetCase], base: Sequence[GenericCase],
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rows: list[MetricRow] = []
+    base = list(tree.cases.values())
     case_ids = [c.id for c in base]
     costs = {c.id: len(c.perceptions) for c in base}
 

@@ -4,7 +4,8 @@ The case base is compiled once into a prefix-sharing tree: each node carries
 a predicate pattern ``{name, values}``, each outgoing arc a test
 ``[choice == v]`` and the nodes that follow it, and each case owns exactly
 one branch from a top-level node, the arcs in ``CaseTree.paths``, whose
-node/test labels spell out its perceptions in descending priority order.
+node/test labels spell out its perceptions in descending priority order;
+``CaseTree.order`` holds that order as indices into the case's perceptions.
 Cases with a common high-priority prefix share nodes, which is where the
 memory saving and the shared query work come from.
 
@@ -53,7 +54,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .cases import GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings
+from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings,
+                    pattern_labels)
 from .similarity import DEFAULT_PARAMS, SimilarityParams, partial_score, scored_unify
 
 
@@ -80,8 +82,8 @@ class TreeNode:
     arcs: list["Arc"] = field(default_factory=list)
 
     @property
-    def generic_labels(self) -> frozenset[str]:
-        return frozenset(v.name for v in self.values if v.kind == "generic")
+    def generic_labels(self) -> tuple[str, ...]:
+        return pattern_labels(self.values)
 
     def label(self) -> str:
         return f"{self.predicate}({','.join(str(v) for v in self.values)})"
@@ -102,7 +104,8 @@ class CaseTree:
     roots: list[TreeNode]
     cases: dict[str, GenericCase]
     paths: dict[str, tuple[Arc, ...]]
-    # per case, the index into its perceptions tested at each branch position
+    # per case, the index into its perceptions tested at each branch position:
+    # descending priority, perceptions of one predicate in declaration order
     order: dict[str, tuple[int, ...]]
 
     @property
@@ -136,23 +139,6 @@ class CaseTree:
         )
 
 
-def priority_order(case: GenericCase, priority: Sequence[str]) -> list[int]:
-    """Indices of the case's perceptions sorted by descending priority.
-
-    Perceptions of the same predicate keep their declaration order.
-    """
-    return _branch_order(case, {name: i for i, name in enumerate(priority)})
-
-
-def _branch_order(case: GenericCase, rank: dict[str, int]) -> list[int]:
-    """``priority_order`` against a rank already built from the priority."""
-    try:
-        ranks = [rank[p.name] for p in case.perceptions]
-    except KeyError as exc:
-        raise TreeError(f"predicate {exc.args[0]!r} missing from the priority order") from None
-    return sorted(range(len(ranks)), key=ranks.__getitem__)
-
-
 def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree:
     """Compile the case base into the prefix-sharing tree.
 
@@ -175,7 +161,11 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
         cases[case.id] = case
         nodes = roots
         path: list[Arc] = []
-        orders[case.id] = order = tuple(_branch_order(case, rank))
+        try:
+            ranks = [rank[p.name] for p in case.perceptions]
+        except KeyError as exc:
+            raise TreeError(f"predicate {exc.args[0]!r} missing from the priority order") from None
+        orders[case.id] = order = tuple(sorted(range(len(ranks)), key=ranks.__getitem__))
         for pos, idx in enumerate(order):
             p = case.perceptions[idx]
             for node in nodes:
@@ -390,7 +380,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     queue: deque[tuple[TreeNode, tuple]] = deque((node, ()) for node in tree.roots)
     while queue:
         node, tested = queue.popleft()
-        labels = sorted(node.generic_labels)
+        labels = node.generic_labels
         for arc in node.arcs:
             if tests_used == limit or (interrupted is not None and interrupted()):
                 return result()

@@ -102,7 +102,7 @@ def verify(base, targets, truth):
         assert extras, f"{wid}: threshold rule never over-retrieves"
 
     budgets = list(range(0, full + BUDGET_STEP + 1, BUDGET_STEP))
-    rows = ct.sweep_budget(targets, base, tree, truth, budgets,
+    rows = ct.sweep_budget(targets, tree, truth, budgets,
                            repetitions=SWEEP_REPETITIONS, seed=SWEEP_SEED,
                            threshold=RETRIEVAL_THRESHOLD, prune=True)
     wins = total = 0

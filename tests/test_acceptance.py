@@ -139,12 +139,10 @@ def test_criterion_5_memory_curve():
     rows = ct.memory_curve(stream, ct.FOOTBALL_PRIORITY)
     assert len(rows) == 100
 
-    from casetree.retrieval import priority_order
     first_perceptions = []
     sharing_from = None
     for i, case in enumerate(stream):
-        idx = priority_order(case, ct.FOOTBALL_PRIORITY)[0]
-        p = case.perceptions[idx]
+        p = min(case.perceptions, key=lambda q: ct.FOOTBALL_PRIORITY.index(q.name))
         key = (p.name, p.values, p.choice)
         if sharing_from is None and key in first_perceptions:
             sharing_from = i
@@ -189,7 +187,7 @@ def test_criterion_7_budget_dominance(bench):
     base = bench["base"]
     full = max(tree.arc_count(), ct.linear_perception_count(base))
     budgets = list(range(0, full + BUDGET_STEP + 1, BUDGET_STEP))
-    rows = ct.sweep_budget(bench["targets"], base, tree, bench["truth"],
+    rows = ct.sweep_budget(bench["targets"], tree, bench["truth"],
                            budgets, repetitions=SWEEP_REPETITIONS,
                            seed=SWEEP_SEED, threshold=RETRIEVAL_THRESHOLD,
                            prune=True)

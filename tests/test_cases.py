@@ -84,6 +84,14 @@ class TestParseCase:
             ct.parse_case_base(bad, small_ctx)
         assert "duplicate case id" in str(err.value)
 
+    def test_second_priority_element_rejected(self, small_ctx, fixture_dir):
+        text = (fixture_dir / "three.cases.xml").read_text()
+        bad = text.replace("</caseBase>",
+                           "<priority>distance,partner,hasball</priority></caseBase>")
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_case_base(bad, small_ctx)
+        assert err.value.path == "caseBase/priority"
+
     def test_base_round_trip(self, three_case_base, small_ctx):
         cases, priority = three_case_base
         text = ct.serialize_case_base(cases, priority, small_ctx)
@@ -366,6 +374,13 @@ class TestInvariants:
         with pytest.raises(ct.CaseError, match="non-finite"):
             ct.GenericCase("bad", (P("hasball", [ct.ME], True),
                                    P("partner", [ct.ME], True)), (1.0, weight))
+
+    def test_generic_labels_are_sorted(self):
+        # the column order of completion rows, whatever the order of appearance
+        marked = P("markedBy", [ct.generic("B"), ct.generic("A")], True)
+        assert marked.generic_labels == ("A", "B")
+        case = ct.GenericCase("c", (P("partner", [ct.generic("C")], True), marked), (1.0, 1.0))
+        assert case.generic_labels == ("A", "B", "C")
 
     def test_duplicate_perceptions_rejected(self):
         p = P("hasball", [ct.ME], True)

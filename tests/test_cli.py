@@ -29,6 +29,17 @@ def paths(fixture_dir, tmp_path):
     }
 
 
+def same_id_worlds(fixture_dir, tmp_path):
+    """Two different committed snapshots, both renamed to world id 'same'."""
+    out = []
+    for name in ("w101n6.world", "w202n6.world"):
+        text = (fixture_dir / name).read_text()
+        path = tmp_path / name
+        path.write_text(text.replace(f"world {name.split('.')[0]}\n", "world same\n", 1))
+        out.append(str(path))
+    return out
+
+
 class TestBuild:
     def test_three_case_fixture(self, paths, capsys):
         code = main(["build", "--ctx", paths["ctx"], "--base", paths["base"]])
@@ -141,6 +152,16 @@ class TestRetrieve:
         assert captured.out == ""
         assert "not allowed with argument" in captured.err
 
+    def test_two_worlds_with_one_id_are_validation_failure(self, fixture_dir, tmp_path,
+                                                            capsys):
+        a, b = same_id_worlds(fixture_dir, tmp_path)
+        code = main(["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--world", a, "--world", b])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "world id 'same'" in captured.err
 
     @pytest.mark.parametrize("flags, message", [
         (["--self", "Agent.99"], "observer 'Agent.99' is not a player"),
@@ -209,6 +230,16 @@ class TestBench:
                      "--threshold", threshold, "--out", str(out)])
         assert code == 2
         assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_suite_rejects_two_worlds_with_one_id(self, fixture_dir, tmp_path, capsys):
+        a, b = same_id_worlds(fixture_dir, tmp_path)
+        out = tmp_path / "alpha.csv"
+        code = main(["bench", "alpha", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--world", a, "--world", b, "--out", str(out)])
+        assert code == 2
+        assert "world id 'same'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_requires_world_for_metric_suites(self, paths):

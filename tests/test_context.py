@@ -53,11 +53,12 @@ class TestParseContext:
             ct.parse_context(doc)
         assert "speed" in str(err.value)
 
-    def test_inline_domain_declaration(self):
+    def test_inline_domain_is_an_unknown_domain(self):
+        # a domain is declared only by a <domain> element
         doc = ('<ctx><predicate name="p">'
                '<choice name="C" type="speed" values="slow,fast"/></predicate></ctx>')
-        ctx = ct.parse_context(doc)
-        assert ctx.domains["speed"].labels == ("slow", "fast")
+        with pytest.raises(ct.ContextError, match="unknown qualitative domain 'speed'"):
+            ct.parse_context(doc)
 
     def test_round_trip(self, small_ctx, football_ctx):
         for ctx in (small_ctx, football_ctx):
@@ -98,8 +99,8 @@ class TestParseContext:
     @pytest.mark.parametrize("doc", [
         '<ctx><domain name="Boolean" values="a,b"/></ctx>',
         '<ctx><domain name="d" values="true,maybe"/></ctx>',
-        '<ctx><predicate name="p"><choice name="C" type="d" values="maybe,false"/>'
-        '</predicate></ctx>',
+        '<ctx><domain name="d" values="maybe,false"/>'
+        '<predicate name="p"><choice name="C" type="d"/></predicate></ctx>',
     ])
     def test_domain_documents_cannot_carry_raises_context_error(self, doc):
         with pytest.raises(ct.ContextError):
@@ -145,26 +146,26 @@ class TestValidatePerception:
     def test_arity_violation(self, small_ctx):
         p = ct.Perception("distance", (ct.const("ball", "Ball"),), "long")
         v = ct.validate_perception(p, small_ctx)
-        assert v is not None and v.kind == "arity"
+        assert v is not None and v.startswith("arity: ")
 
     def test_value_violation(self, small_ctx):
         p = ct.Perception(
             "distance", (ct.const("ball", "Ball"), ct.concrete("Agent.1")), "medium"
         )
         v = ct.validate_perception(p, small_ctx)
-        assert v is not None and v.kind == "value"
-        assert "medium" in v.message
+        assert v is not None and v.startswith("value: ")
+        assert "medium" in v
 
     def test_unknown_predicate(self, small_ctx):
         p = ct.Perception("teleports", (ct.ME,), True)
         v = ct.validate_perception(p, small_ctx)
-        assert v is not None and v.kind == "unknown-predicate"
+        assert v is not None and v.startswith("unknown-predicate: ")
 
     def test_sort_violation(self, small_ctx):
         # hasball expects an Agent, a Team constant does not conform
         p = ct.Perception("hasball", (ct.const("teamA", "Team"),), True)
         v = ct.validate_perception(p, small_ctx)
-        assert v is not None and v.kind == "sort"
+        assert v is not None and v.startswith("sort: ")
 
     def test_subsort_conformance(self, football_ctx):
         # distance ranges over PhysicalObject; Agent and Ball both conform
@@ -174,7 +175,7 @@ class TestValidatePerception:
     def test_boolean_choice_must_be_bool(self, small_ctx):
         p = ct.Perception("hasball", (ct.ME,), "true")
         v = ct.validate_perception(p, small_ctx)
-        assert v is not None and v.kind == "value"
+        assert v is not None and v.startswith("value: ")
 
 
 class TestQuantizeDistance:

@@ -14,12 +14,16 @@ SRC = DEMOS.parent / "src"
 CSVS = ("alpha_sweep.csv", "budget_sweep.csv", "memory_curve.csv")
 
 
-def run_demo(name, *args):
+def run_demo(name, *args, hash_seed=None):
+    """Run a demo to completion and return its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     proc = subprocess.run([sys.executable, str(DEMOS / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("name", [
@@ -28,7 +32,8 @@ def run_demo(name, *args):
     "03_anytime_retrieval.py",
 ])
 def test_demo_exits_cleanly(name):
-    run_demo(name)
+    # and prints the same under two string hash seeds
+    assert run_demo(name, hash_seed=0) == run_demo(name, hash_seed=1)
 
 
 def test_benchmark_demo_reproduces_committed_csvs(tmp_path):

@@ -138,7 +138,7 @@ class TestSweepBudget:
     def test_unbounded_budget_rows_agree(self):
         base, target, tree, truth = self.setup_case()
         big = ct.linear_perception_count(base) + tree.arc_count()
-        rows = ct.sweep_budget({target.origin: target}, base, tree, truth,
+        rows = ct.sweep_budget({target.origin: target}, tree, truth,
                                budgets=[big], repetitions=5, seed=3,
                                threshold=0.35, prune=False)
         tree_row = next(r for r in rows if r.engine == "tree")
@@ -151,12 +151,12 @@ class TestSweepBudget:
     def test_threshold_validated(self, threshold):
         base, target, tree, truth = self.setup_case()
         with pytest.raises(ValueError, match="threshold"):
-            ct.sweep_budget({target.origin: target}, base, tree, truth,
+            ct.sweep_budget({target.origin: target}, tree, truth,
                             budgets=[0], repetitions=1, threshold=threshold)
 
     def test_budget_zero_rows_are_zero(self):
         base, target, tree, truth = self.setup_case()
-        rows = ct.sweep_budget({target.origin: target}, base, tree, truth,
+        rows = ct.sweep_budget({target.origin: target}, tree, truth,
                                budgets=[0], repetitions=3, seed=3, threshold=0.35)
         assert all(r.recall == 0.0 and r.precision == 0.0 for r in rows)
 
@@ -165,7 +165,7 @@ class TestSweepBudget:
         # budget because anytime scores only ever grow
         base, target, tree, truth = self.setup_case()
         budgets = list(range(0, tree.arc_count() + 5, 3))
-        rows = ct.sweep_budget({target.origin: target}, base, tree, truth,
+        rows = ct.sweep_budget({target.origin: target}, tree, truth,
                                budgets=budgets, repetitions=1, seed=0,
                                threshold=0.35, prune=False)
         series = [r.precision for r in rows if r.engine == "tree"]
@@ -175,7 +175,7 @@ class TestSweepBudget:
         base, target, tree, truth = self.setup_case(seed=5, n=8)
         oracle = ct.TargetOracle(target)
         budget = ct.linear_perception_count(base) // 2
-        rows = ct.sweep_budget({target.origin: target}, base, tree, truth,
+        rows = ct.sweep_budget({target.origin: target}, tree, truth,
                                budgets=[budget], repetitions=4, seed=11,
                                threshold=0.35)
         lin_row = next(r for r in rows if r.engine == "linear")
@@ -198,7 +198,7 @@ class TestSweepBudget:
     def test_repetitions_validated(self):
         base, target, tree, truth = self.setup_case(seed=6, n=4)
         with pytest.raises(ValueError):
-            ct.sweep_budget({target.origin: target}, base, tree, truth,
+            ct.sweep_budget({target.origin: target}, tree, truth,
                             budgets=[1], repetitions=0)
 
 

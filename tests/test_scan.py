@@ -45,6 +45,9 @@ class TestTargetOracle:
         assert oracle.completions("markedBy", pattern, True) == []
         pattern = (ct.generic("A"), ct.generic("B"))
         assert oracle.completions("markedBy", pattern, True) == [("Agent.1", "Agent.2")]
+        # columns follow the sorted labels, not their positions
+        pattern = (ct.generic("B"), ct.generic("A"))
+        assert oracle.completions("markedBy", pattern, True) == [("Agent.2", "Agent.1")]
 
     def test_results_are_sorted(self):
         # six rows declared in descending id order: neither declaration order

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 import casetree as ct
-from casetree.retrieval import priority_order
 from support import random_base
 
 
@@ -58,7 +57,8 @@ class TestBuildTree:
         cases, priority = three_case_base
         tree = ct.build_tree(cases, priority)
         for case in cases:
-            expected = [case.perceptions[i] for i in priority_order(case, priority)]
+            expected = sorted(case.perceptions, key=lambda p: priority.index(p.name))
+            assert [case.perceptions[i] for i in tree.order[case.id]] == expected
             assert list(tree.path_perceptions(case.id)) == expected
 
     def test_heterogeneous_continuations_share_a_slot(self, small_ctx):
@@ -141,7 +141,7 @@ class TestTreeValidity:
             first = {}
             shared = False
             for case in base:
-                idx = priority_order(case, ct.FOOTBALL_PRIORITY)[0]
+                idx = tree.order[case.id][0]
                 key = (case.perceptions[idx].name, case.perceptions[idx].values,
                        case.perceptions[idx].choice)
                 if key in first:
