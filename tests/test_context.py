@@ -99,6 +99,9 @@ class TestParseContext:
     @pytest.mark.parametrize("doc", [
         '<ctx><domain name="Boolean" values="a,b"/></ctx>',
         '<ctx><domain name="d" values="true,maybe"/></ctx>',
+        # a values= list on <choice> declares nothing, so the bad labels never load
+        '<ctx><predicate name="p"><choice name="C" type="d" values="maybe,false"/>'
+        '</predicate></ctx>',
         '<ctx><domain name="d" values="maybe,false"/>'
         '<predicate name="p"><choice name="C" type="d"/></predicate></ctx>',
     ])
