@@ -76,7 +76,7 @@ threshold = 0.45
 alpha_rows = []
 for wid in sorted(targets):
     alpha_rows += ct.sweep_alpha(targets[wid], base, truth[wid], threshold,
-                                 [0.0, 0.25, 0.5, 0.75, 1.0], target_id=wid)
+                                 [0.0, 0.25, 0.5, 0.75, 1.0])
 (OUT / "alpha_sweep.csv").write_text(ct.format_metric_csv(alpha_rows))
 wid = sorted(targets)[0]
 print(f"\n{wid}: alpha  retrieved  recall  precision")

@@ -26,7 +26,7 @@ Case file format (XML, UTF-8)::
 
 Weights use a decimal point. ``value`` types are Me, GenericAgent, or a
 constant object sort (Ball, Team, ...). The optional ``action`` attribute
-carries the decision attached to the case.
+carries the decision attached to the case. Any other attribute is an error.
 
 Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every injective way a perception pattern can be bound so that it occurs
@@ -51,7 +51,8 @@ from functools import cached_property
 from typing import Iterable
 from xml.sax.saxutils import escape
 
-from .context import Context, ContextError, _attr, _root, validate_perception, xml_attribute
+from .context import (Context, ContextError, _attr, _root, _unknown_attribute,
+                      validate_perception, xml_attribute)
 
 
 @dataclass(frozen=True)
@@ -426,6 +427,8 @@ _BOOL_STRINGS = {"true": True, "false": False}
 
 
 def _parse_value(elem: ET.Element, path: str) -> Value:
+    if len(elem.attrib) > 2:
+        _unknown_attribute(elem, path, "val", "type")
     val = elem.get("val")
     type_name = elem.get("type")
     if val is None or type_name is None:
@@ -449,8 +452,10 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
     case_id = elem.get("id")
     if not case_id:
         raise ContextError("case needs an id attribute", "case")
-    action = elem.get("action", "none")
     path = f"case[@id={case_id!r}]"
+    if len(elem.attrib) > 1 + ("action" in elem.attrib):
+        _unknown_attribute(elem, path, "id", "action")
+    action = elem.get("action", "none")
 
     perceptions: list[Perception] = []
     weights: list[float] = []
@@ -458,6 +463,8 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
         if sub.tag != "predicate":
             raise ContextError(f"unexpected element <{sub.tag}>", f"{path}/{sub.tag}")
         sub_path = f"{path}/predicate[{i}]"
+        if len(sub.attrib) > 2:
+            _unknown_attribute(sub, sub_path, "name", "weight")
         name = _attr(sub, "name", sub_path)
         raw_weight = _attr(sub, "weight", sub_path)
         try:
@@ -472,6 +479,8 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
             if node.tag == "value":
                 values.append(_parse_value(node, f"{sub_path}/value[{j}]"))
             elif node.tag == "choice":
+                if len(node.attrib) > 1:
+                    _unknown_attribute(node, f"{sub_path}/choice", "val")
                 raw = node.get("val")
                 if raw is None:
                     raise ContextError("choice needs a val attribute", f"{sub_path}/choice")
@@ -500,6 +509,8 @@ def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tup
     and it must cover every predicate the cases use.
     """
     root = _root(document, "caseBase")
+    if root.attrib:
+        _unknown_attribute(root, "caseBase")
 
     priority: tuple[str, ...] | None = None
     cases: list[GenericCase] = []
@@ -508,6 +519,8 @@ def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tup
         if child.tag == "priority":
             if priority is not None:
                 raise ContextError("more than one priority element", "caseBase/priority")
+            if child.attrib:
+                _unknown_attribute(child, "caseBase/priority")
             names = [n.strip() for n in (child.text or "").replace(",", " ").split()]
             priority = tuple(names)
         elif child.tag == "case":
@@ -538,8 +551,6 @@ def serialize_case_base(cases: list[GenericCase], priority: tuple[str, ...],
                     type_name = "Me"
                 elif v.kind == "generic":
                     type_name = "GenericAgent"
-                elif v.kind == "concrete":
-                    type_name = "Agent"
                 else:
                     type_name = v.sort or (schema.params[k][1] if schema else "DomainObject")
                 lines.append(f'      <value val="{q(v.name)}" type="{q(type_name)}"/>')

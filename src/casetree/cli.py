@@ -8,8 +8,8 @@ runs for identical flags, fixtures and seeds.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .cases import parse_case_base
@@ -151,11 +151,8 @@ def cmd_retrieve(args) -> int:
         tree = build_tree(cases, priority)
         result = scan_tree(tree, oracle, budget, params, prune=args.prune)
     else:
-        import random as _random
-
-        order = [c.id for c in cases]
-        _random.Random(args.seed).shuffle(order)
-        result = scan_linear(cases, oracle, budget, params, order=order)
+        random.Random(args.seed).shuffle(cases)
+        result = scan_linear(cases, oracle, budget, params)
 
     prune_state = "on" if args.prune and args.engine == "tree" else "off"
     print(f"best={result.best_case or '-'} score={result.score:.6f} "
@@ -190,13 +187,8 @@ def cmd_bench(args) -> int:
         if args.suite == "alpha":
             metric_rows = []
             for tid in sorted(targets):
-                metric_rows.extend(
-                    replace(row, engine="offline")
-                    for row in sweep_alpha(
-                        targets[tid], cases, truth.get(tid, frozenset()),
-                        args.threshold, args.alphas, target_id=tid,
-                    )
-                )
+                metric_rows += sweep_alpha(targets[tid], cases, truth.get(tid, frozenset()),
+                                           args.threshold, args.alphas)
             text = format_metric_csv(metric_rows)
         else:
             tree = build_tree(cases, priority)

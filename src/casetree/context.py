@@ -27,7 +27,8 @@ stripped, and case documents read the choices ``true`` and ``false`` as
 Booleans, no domain may be named ``Boolean`` and every label must be
 non-empty, free of commas and of surrounding whitespace, and neither
 ``true`` nor ``false``. Object sorts are not declared in the file: they come
-from the built-in tree ``SORTS``, rooted at DomainObject.
+from the built-in tree ``SORTS``, rooted at DomainObject. An attribute the
+format above does not show is an error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 from xml.sax.saxutils import escape
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,6 +66,10 @@ class ValueSort:
     def __post_init__(self):
         if self.kind not in ("boolean", "qualitative"):
             raise ValueError(f"unknown value-sort kind {self.kind!r}")
+        if self.kind == "boolean" and (self.domain != "Boolean" or self.labels):
+            # the document formats write a boolean sort as type="Boolean" alone
+            raise ValueError(f"a boolean sort is domain 'Boolean' with no labels, got "
+                             f"{self.domain!r} with labels {self.labels!r}")
         if self.kind == "qualitative":
             # the document formats cannot carry these (see the module docstring)
             if self.domain == "Boolean":
@@ -210,6 +215,14 @@ def _attr(elem: ET.Element, name: str, path: str) -> str:
     return value
 
 
+def _unknown_attribute(elem: ET.Element, path: str, *known: str) -> NoReturn:
+    """Raise ContextError naming the first attribute of ``elem`` outside
+    ``known``. Parsers call it only once ``elem`` holds more attributes than
+    it may carry, so one is unknown; counting keeps the parse path cheap."""
+    name = next(a for a in elem.attrib if a not in known)
+    raise ContextError(f"unknown attribute {name!r}", path)
+
+
 def _root(document: str | ET.Element, tag: str) -> ET.Element:
     """The root element of a document, parsed first when it is a string.
     Raises ContextError when the text is malformed or the root is not ``tag``."""
@@ -230,6 +243,8 @@ def parse_context(document: str) -> Context:
     predicate names, or qualitative domains no earlier ``domain`` declares.
     """
     root = _root(document, "ctx")
+    if root.attrib:
+        _unknown_attribute(root, "ctx")
 
     domains: dict[str, ValueSort] = {}
     predicates: dict[str, PredicateSchema] = {}
@@ -238,6 +253,8 @@ def parse_context(document: str) -> Context:
     for child in root:
         if child.tag == "domain":
             path = f"ctx/domain[{len(domains) + 1}]"
+            if len(child.attrib) > 2:
+                _unknown_attribute(child, path, "name", "values")
             name = _attr(child, "name", path)
             labels = [v.strip() for v in _attr(child, "values", path).split(",") if v.strip()]
             try:
@@ -250,6 +267,8 @@ def parse_context(document: str) -> Context:
         elif child.tag == "predicate":
             pred_idx += 1
             path = f"ctx/predicate[{pred_idx}]"
+            if len(child.attrib) > 1:
+                _unknown_attribute(child, path, "name")
             name = _attr(child, "name", path)
             if name in predicates:
                 raise ContextError(f"duplicate predicate {name!r}", path)
@@ -266,6 +285,8 @@ def _parse_schema(elem, name, path, domains) -> PredicateSchema:
     for sub in elem:
         if sub.tag == "variable":
             sub_path = f"{path}/variable[{len(params) + 1}]"
+            if len(sub.attrib) > 2:
+                _unknown_attribute(sub, sub_path, "name", "type")
             var = _attr(sub, "name", sub_path)
             sort_name = _attr(sub, "type", sub_path)
             if sort_name not in SORTS:
@@ -275,6 +296,8 @@ def _parse_schema(elem, name, path, domains) -> PredicateSchema:
             sub_path = f"{path}/choice"
             if choice is not None:
                 raise ContextError("more than one choice variable", sub_path)
+            if len(sub.attrib) > 2:
+                _unknown_attribute(sub, sub_path, "name", "type")
             var = _attr(sub, "name", sub_path)
             type_name = _attr(sub, "type", sub_path)
             if type_name == "Boolean":

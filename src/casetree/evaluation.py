@@ -106,16 +106,17 @@ def _retrieved(scores: Mapping[str, float], threshold: float
 
 def sweep_alpha(target: TargetCase, base: Sequence[GenericCase],
                 c1: Iterable[str], threshold: float,
-                alphas: Sequence[float], target_id: str = "") -> list[MetricRow]:
-    """One row per alpha at a fixed threshold; larger alphas retrieve nested
-    subsets, trading breadth for strictness."""
+                alphas: Sequence[float]) -> list[MetricRow]:
+    """One offline row per alpha at a fixed threshold, labelled with the
+    target's origin; larger alphas retrieve nested subsets, trading breadth
+    for strictness."""
     rows = []
     for alpha in alphas:
         params = SimilarityParams(alpha=alpha)
         c2, th_t = retrieve_set(target, base, params, threshold)
         row = metrics(c1, c2)
-        rows.append(replace(row, target=target_id or target.origin,
-                            alpha=alpha, th_t=th_t))
+        rows.append(replace(row, target=target.origin, alpha=alpha,
+                            engine="offline", th_t=th_t))
     return rows
 
 

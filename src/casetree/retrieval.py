@@ -28,10 +28,11 @@ scan keeps one record per case: how many arcs of its branch were tested,
 and its tested prefix that no arc contradicted.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
-``cases._search_bindings``. The linear baseline scores each case with
-``similarity.scored_unify``, the same search over the same rows, so the two
-engines differ only in how they share work. Both stop on the same check and
-assemble their results the same way.
+``cases._search_bindings``, maximizing ``similarity.objective``. The linear
+baseline scores each case with ``similarity.scored_unify``, the same search
+over the same rows, in the order of the cases it is given, so the two engines
+differ only in how they share work. Both stop on the same check and assemble
+their results the same way.
 
 Budgets are observed before every test: a comparison budget caps the used
 count exactly, and a deadline or external cancellation stops the scan before
@@ -56,7 +57,7 @@ from typing import Iterable, Sequence
 
 from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings,
                     pattern_labels)
-from .similarity import DEFAULT_PARAMS, SimilarityParams, partial_score, scored_unify
+from .similarity import DEFAULT_PARAMS, SimilarityParams, objective, scored_unify
 
 
 class TreeError(ValueError):
@@ -338,7 +339,6 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     start = time.perf_counter()
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
     interrupted = _stop_check(budget, start, cancel)
-    size, alpha = oracle.size, params.alpha
     # per case: best score with its restricted binding pairs, and (arcs of its
     # branch tested, its tested prefix that no arc contradicted)
     best = dict.fromkeys(tree.cases, (0.0, ()))
@@ -351,11 +351,10 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         scores = {}
         for cid, tested in prefixes:
             order, case = tree.order[cid], tree.cases[cid]
-            total = case.total_weight
             found = _search_bindings(
                 case.weights,
                 [(order[depth], own, rows) for depth, own, rows in tested],
-                lambda w, n: partial_score(w, n, total, size, alpha),
+                objective(case, oracle.size, params),
                 interrupted,
             )
             if found is None:
@@ -413,33 +412,26 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
 def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
                 budget: ScanBudget = UNBOUNDED,
                 params: SimilarityParams = DEFAULT_PARAMS,
-                order: Sequence[str] | None = None,
                 cancel=None) -> RetrievalResult:
-    """Classic flat retrieval: full unification case by case, in the given
-    order. Each case costs as many comparisons as it has perceptions and is
+    """Classic flat retrieval: full unification case by case, in the order of
+    ``base``. Each case costs as many comparisons as it has perceptions and is
     either fully evaluated or left unevaluated, ranking as score 0: not
     reached, or interrupted mid-search by the deadline or cancellation.
     """
-    by_id = {c.id: c for c in base}
-    if len(by_id) != len(base):
+    per_case = {
+        c.id: CaseOutcome(0.0, 0, False, False, Substitution()) for c in base
+    }
+    if len(per_case) != len(base):
         raise TreeError("duplicate case id in base")
-    if order is None:
-        order = [c.id for c in base]
-    if sorted(order) != sorted(by_id):
-        raise ValueError("order must be a permutation of the base's case ids")
     if oracle.size < 1 and base:
         raise ValueError("cannot scan against an empty target")
 
     start = time.perf_counter()
     interrupted = _stop_check(budget, start, cancel)
-    per_case = {
-        cid: CaseOutcome(0.0, 0, False, False, Substitution()) for cid in by_id
-    }
     tests_used = 0
 
-    for cid in order:
-        case = by_id[cid]
-        cost = len(case.perceptions)
+    for case in base:
+        cid, cost = case.id, len(case.perceptions)
         if budget.kind == "comparisons" and tests_used + cost > budget.max_comparisons:
             break
         if interrupted is not None and interrupted():

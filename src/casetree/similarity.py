@@ -11,7 +11,9 @@ scaled by ``alpha`` in [0, 1]. The offline score maximizes over injective
 agent bindings; the anytime score, which ``retrieval.scan_tree`` keeps for
 every case, evaluates whatever has been matched at an interruption point, so
 it starts at 0 with nothing scanned and converges to the offline value once
-the scan completes un-pruned.
+the scan completes un-pruned. ``objective`` builds the one function both
+maximize, the formula for a case against a target of a given size, and the
+binding search asks it for every candidate and bound.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ def partial_score(matched_weight: float, matched_count: int, total_weight: float
     return (matched_weight / total_weight) * coverage
 
 
+def objective(case: GenericCase, target_size: int, params: SimilarityParams):
+    """The ``(matched_weight, matched_count) -> score`` function the binding
+    search maximizes for ``case`` against a target of ``target_size``
+    perceptions."""
+    total, alpha = case.total_weight, params.alpha
+    return lambda w, n: partial_score(w, n, total, target_size, alpha)
+
+
 def scored_unify(source: GenericCase, target: TargetCase,
                  params: SimilarityParams = DEFAULT_PARAMS, interrupted=None
                  ) -> tuple[float, Substitution, frozenset[int]] | None:
@@ -54,15 +64,9 @@ def scored_unify(source: GenericCase, target: TargetCase,
     weight tie hides a larger matched set, or when binding a high-weight
     perception would sacrifice more coverage than it buys. The search asks
     ``interrupted()``, when given, at every node and returns None once it holds.
+    Raises ValueError for an empty target.
     """
-    if len(target) == 0:
-        raise ValueError("target case has no perceptions")
-    total = source.total_weight
-    size = len(target)
-    alpha = params.alpha
-    return _unify(
-        source, target, lambda w, n: partial_score(w, n, total, size, alpha), interrupted
-    )
+    return _unify(source, target, objective(source, len(target), params), interrupted)
 
 
 def similarity(source: GenericCase, target: TargetCase,

@@ -2,10 +2,12 @@
 
 This is the "context box" feeding retrieval: it turns raw state (positions,
 possession, marking) into semantic perceptions, and ``TargetOracle``
-answers predicate queries over them. Nothing moves here; a snapshot is one
-instant, and every operation on it is pure. Its objects take their sorts
-from ``context.SORTS``: players are Agents, the ball a Ball, teams a Team
-and the last action an Action.
+answers predicate queries over them. Elaboration is one pass: each
+perception is built once, under the context's own spelling of its predicate
+name, and kept when it conforms to the context. Nothing moves here; a
+snapshot is one instant, and every operation on it is pure. Its objects take
+their sorts from ``context.SORTS``: players are Agents, the ball a Ball,
+teams a Team and the last action an Action.
 
 Artifact-defined semantics, chosen to keep targets desk-scale:
 
@@ -170,10 +172,15 @@ def elaborate(world: WorldSnapshot, self_id: str,
     ball_const = const("ball", "Ball")
     facing_me = _facing(me, world.ball)
 
-    candidates: list[Perception] = []
+    by_lower = {name.lower(): name for name in ctx.predicates}
+    kept: list[Perception] = []
 
     def emit(name: str, values, choice):
-        candidates.append(Perception(name, tuple(values), choice))
+        declared = by_lower.get(name.lower())
+        if declared is not None:
+            p = Perception(declared, tuple(values), choice)
+            if validate_perception(p, ctx) is None:
+                kept.append(p)
 
     for p in perceived:
         emit("hasBall", [ref(p)], p.has_ball)
@@ -215,16 +222,6 @@ def elaborate(world: WorldSnapshot, self_id: str,
     label = "even" if mates == foes else ("outnumbering" if mates > foes else "outnumbered")
     emit("ratio", [const(me.team, "Team")], label)
     emit("lastAction", [const("pass", "Action")], world.last_action_pass)
-
-    by_lower = {name.lower(): name for name in ctx.predicates}
-    kept = []
-    for p in candidates:
-        declared = by_lower.get(p.name.lower())
-        if declared is None:
-            continue
-        renamed = Perception(declared, p.values, p.choice)
-        if validate_perception(renamed, ctx) is None:
-            kept.append(renamed)
     return TargetCase(perceptions=tuple(kept), origin=world.wid)
 
 

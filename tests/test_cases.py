@@ -27,6 +27,13 @@ def P(name, values, choice) -> ct.Perception:
     return ct.Perception(name, tuple(values), choice)
 
 
+def one_case(body='<value val="me" type="Me"/><choice val="true"/>', case='id="c"',
+             predicate='name="hasball" weight="1.0"') -> str:
+    """A caseBase document holding one case of one predicate."""
+    return (f"<caseBase><priority>hasball</priority><case {case}>"
+            f"<predicate {predicate}>{body}</predicate></case></caseBase>")
+
+
 class TestParseCase:
     def test_case1_fields(self, three_case_base):
         cases, _ = three_case_base
@@ -91,6 +98,50 @@ class TestParseCase:
         with pytest.raises(ct.ContextError) as err:
             ct.parse_case_base(bad, small_ctx)
         assert err.value.path == "caseBase/priority"
+
+    @pytest.mark.parametrize("doc,name,path", [
+        ("<caseBase version='1'><priority>hasball</priority></caseBase>", "version",
+         "caseBase"),
+        ("<caseBase><priority order='desc'>hasball</priority></caseBase>", "order",
+         "caseBase/priority"),
+        (one_case(case='id="c" acton="pass"'), "acton", "case[@id='c']"),
+        (one_case(case='id="c" action="pass" note="x"'), "note", "case[@id='c']"),
+        (one_case(predicate='name="hasball" weight="1.0" weigth="2"'), "weigth",
+         "case[@id='c']/predicate[1]"),
+        (one_case('<value val="me" type="Me" sort="Agent"/><choice val="true"/>'), "sort",
+         "case[@id='c']/predicate[1]/value[1]"),
+        (one_case('<value val="me" type="Me"/><choice val="true" type="Boolean"/>'), "type",
+         "case[@id='c']/predicate[1]/choice"),
+    ], ids=["caseBase", "priority", "case", "case-with-action", "predicate", "value",
+            "choice"])
+    def test_unknown_attribute_rejected(self, small_ctx, doc, name, path):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_case_base(doc, small_ctx)
+        assert str(err.value) == f"unknown attribute {name!r} (at {path})"
+
+    @pytest.mark.parametrize("doc,message,path", [
+        (one_case(case=""), "case needs an id attribute", "case"),
+        (one_case('<value type="Me"/><choice val="true"/>'),
+         "value needs val and type attributes", "case[@id='c']/predicate[1]/value[1]"),
+        (one_case('<value val="me"/><choice val="true"/>'),
+         "value needs val and type attributes", "case[@id='c']/predicate[1]/value[1]"),
+        (one_case('<value val="me" type="Me"/><choice/>'),
+         "choice needs a val attribute", "case[@id='c']/predicate[1]/choice"),
+        (one_case('<value val="me" type="Me"/>'),
+         "predicate has no choice element", "case[@id='c']/predicate[1]"),
+        ("<caseBase/>", "caseBase has no priority element", "caseBase"),
+        ("<caseBase><priority>hasball</priority><note/></caseBase>",
+         "unexpected element <note>", "caseBase/note"),
+        ("<caseBase><priority>hasball</priority><case id='c'><note/></case></caseBase>",
+         "unexpected element <note>", "case[@id='c']/note"),
+        (one_case('<value val="me" type="Me"/><note/><choice val="true"/>'),
+         "unexpected element <note>", "case[@id='c']/predicate[1]/note"),
+    ], ids=["no-id", "value-without-val", "value-without-type", "choice-without-val",
+            "no-choice", "no-priority", "caseBase-child", "case-child", "predicate-child"])
+    def test_malformed_document_reports_message_and_path(self, small_ctx, doc, message, path):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_case_base(doc, small_ctx)
+        assert str(err.value) == f"{message} (at {path})"
 
     def test_base_round_trip(self, three_case_base, small_ctx):
         cases, priority = three_case_base

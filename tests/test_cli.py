@@ -163,6 +163,23 @@ class TestRetrieve:
         assert captured.out == ""
         assert "world id 'same'" in captured.err
 
+    @pytest.mark.parametrize("engine, message", [
+        ("tree", "oracle failed at "),
+        ("linear", "evaluation failed on "),
+    ])
+    def test_oracle_failure_is_runtime_failure(self, paths, capsys, monkeypatch, engine,
+                                               message):
+        def fail(self, name, values, desired):
+            raise ConnectionError("context box went away")
+
+        monkeypatch.setattr(ct.TargetCase, "completions", fail)
+        code = main(["retrieve", "--ctx", paths["ctx"], "--base", paths["base"],
+                     "--world", paths["world"], "--engine", engine])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"casetree: {message}")
+        assert err.endswith(": context box went away\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--self", "Agent.99"], "observer 'Agent.99' is not a player"),
         (["--radius", "nan"], "radius"),
@@ -202,6 +219,20 @@ class TestBench:
         assert len(rows) == 3
         sizes = [int(r.split(",")[6]) + int(r.split(",")[7]) for r in rows]
         assert sizes == sorted(sizes, reverse=True)
+
+    def test_budget_suite_default_grid(self, fixture_dir, tmp_path, capsys):
+        # the README's third example: with no --budgets, 25 budgets step from 0
+        # to the larger of the flat perception count and the arc count, 264 here
+        out = tmp_path / "budget.csv"
+        code = main(["bench", "budget", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--world", str(fixture_dir / "w202n6.world"),
+                     "--truth", str(fixture_dir / "bench50.truth.txt"), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out} rows=50\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(r[2]), r[3]) for r in rows] == [
+            (b, engine) for b in range(0, 265, 11) for engine in ("tree", "linear")]
 
     def test_budget_suite_is_byte_identical_across_runs(self, paths, capsys):
         truth = paths["tmp"] / "truth.txt"

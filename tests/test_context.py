@@ -57,8 +57,46 @@ class TestParseContext:
         # a domain is declared only by a <domain> element
         doc = ('<ctx><predicate name="p">'
                '<choice name="C" type="speed" values="slow,fast"/></predicate></ctx>')
-        with pytest.raises(ct.ContextError, match="unknown qualitative domain 'speed'"):
+        with pytest.raises(ct.ContextError, match="unknown attribute 'values'"):
             ct.parse_context(doc)
+
+    @pytest.mark.parametrize("doc,name,path", [
+        ('<ctx version="1"/>', "version", "ctx"),
+        ('<ctx><domain name="d" values="a,b" label="a"/></ctx>', "label", "ctx/domain[1]"),
+        ('<ctx><predicate name="p" arity="0"><choice name="C" type="Boolean"/></predicate>'
+         '</ctx>', "arity", "ctx/predicate[1]"),
+        ('<ctx><predicate name="p"><variable name="X" type="Agent" sort="Ball"/>'
+         '<choice name="C" type="Boolean"/></predicate></ctx>', "sort",
+         "ctx/predicate[1]/variable[1]"),
+        # the deleted inline form would otherwise load d's labels, not x and y
+        ('<ctx><domain name="d" values="a,b"/><predicate name="p">'
+         '<choice name="C" type="d" values="x,y"/></predicate></ctx>', "values",
+         "ctx/predicate[1]/choice"),
+    ], ids=["ctx", "domain", "predicate", "variable", "choice"])
+    def test_unknown_attribute_rejected(self, doc, name, path):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_context(doc)
+        assert str(err.value) == f"unknown attribute {name!r} (at {path})"
+
+    @pytest.mark.parametrize("doc,message,path", [
+        ('<ctx><predicate><choice name="C" type="Boolean"/></predicate></ctx>',
+         "missing 'name' attribute", "ctx/predicate[1]"),
+        ('<ctx><predicate name="p"><variable name="X" type="Agent"/></predicate></ctx>',
+         "predicate has no choice variable", "ctx/predicate[1]"),
+        ('<ctx><predicate name="p"><choice name="C" type="Boolean"/>'
+         '<choice name="D" type="Boolean"/></predicate></ctx>',
+         "more than one choice variable", "ctx/predicate[1]/choice"),
+        ('<ctx><domain name="d" values="a,b"/><domain name="d" values="a,c"/></ctx>',
+         "domain 'd' declared twice with different labels", "ctx/domain[2]"),
+        ('<ctx><sort name="Starship"/></ctx>', "unexpected element <sort>", "ctx/sort"),
+        ('<ctx><predicate name="p"><param name="X"/><choice name="C" type="Boolean"/>'
+         '</predicate></ctx>', "unexpected element <param>", "ctx/predicate[1]/param"),
+    ], ids=["missing-attribute", "no-choice", "second-choice", "domain-redeclared",
+            "ctx-child", "predicate-child"])
+    def test_malformed_document_reports_message_and_path(self, doc, message, path):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_context(doc)
+        assert str(err.value) == f"{message} (at {path})"
 
     def test_round_trip(self, small_ctx, football_ctx):
         for ctx in (small_ctx, football_ctx):
@@ -99,7 +137,7 @@ class TestParseContext:
     @pytest.mark.parametrize("doc", [
         '<ctx><domain name="Boolean" values="a,b"/></ctx>',
         '<ctx><domain name="d" values="true,maybe"/></ctx>',
-        # a values= list on <choice> declares nothing, so the bad labels never load
+        # <choice> carries no values= list, so the bad labels never load
         '<ctx><predicate name="p"><choice name="C" type="d" values="maybe,false"/>'
         '</predicate></ctx>',
         '<ctx><domain name="d" values="maybe,false"/>'
@@ -132,6 +170,17 @@ class TestParseContext:
         else:
             with pytest.raises(ValueError):
                 ct.serialize_case_base([case], ("p",), ctx)
+
+    @pytest.mark.parametrize("domain,labels", [
+        ("Flag", ()),
+        ("Boolean", ("x",)),
+        ("Flag", ("x",)),
+    ])
+    def test_boolean_sort_is_boolean_without_labels(self, domain, labels):
+        # the documents write every boolean sort as type="Boolean", which
+        # reads back as BOOLEAN
+        with pytest.raises(ValueError):
+            ct.ValueSort("boolean", domain, labels)
 
     def test_double_round_trip_is_stable(self, football_ctx):
         once = ct.serialize_context(football_ctx)

@@ -114,8 +114,8 @@ class TestSweepAlpha:
             previous = c2
 
     def test_row_sizes_non_increasing(self, graded_base, graded_target):
-        rows = ct.sweep_alpha(graded_target, graded_base, {"a"}, 0.3,
-                              [0.0, 0.5, 1.0], target_id="t")
+        target = ct.TargetCase(graded_target.perceptions, origin="t")
+        rows = ct.sweep_alpha(target, graded_base, {"a"}, 0.3, [0.0, 0.5, 1.0])
         sizes = [r.n_correct + r.n_false for r in rows]
         assert sizes == sorted(sizes, reverse=True)
         assert all(r.target == "t" for r in rows)
@@ -182,12 +182,13 @@ class TestSweepBudget:
 
         rng = random.Random(11)
         ids = [c.id for c in base]
+        by_id = {c.id: c for c in base}
         recalls, used = [], []
         c1 = truth[target.origin]
         for _ in range(4):
             order = rng.sample(ids, len(ids))
-            result = ct.scan_linear(base, oracle, ct.ScanBudget.comparisons(budget),
-                                    order=order)
+            result = ct.scan_linear([by_id[cid] for cid in order], oracle,
+                                    ct.ScanBudget.comparisons(budget))
             c2 = {cid for cid, oc in result.per_case.items()
                   if oc.evaluated and oc.score >= 0.35}
             recalls.append(ct.metrics(c1, c2).recall)

@@ -539,20 +539,60 @@ class TestScanLinear:
 
     def test_budget_admits_exactly_one_case(self, three_case_base, exact_case1_target):
         cases, _ = three_case_base
-        order = ["case2", "case1", "case3"]
-        r = ct.scan_linear(cases, ct.TargetOracle(exact_case1_target),
-                           ct.ScanBudget.comparisons(2), order=order)
+        by_id = {c.id: c for c in cases}
+        reordered = [by_id[cid] for cid in ("case2", "case1", "case3")]
+        r = ct.scan_linear(reordered, ct.TargetOracle(exact_case1_target),
+                           ct.ScanBudget.comparisons(2))
         assert r.per_case["case2"].evaluated
         assert not r.per_case["case1"].evaluated
         assert not r.per_case["case3"].evaluated
         assert r.tests_used == 2
         assert r.best_case == "case2"
 
-    def test_order_must_be_a_permutation(self, three_case_base, exact_case1_target):
+    def test_empty_target_rejected(self, three_case_base):
         cases, _ = three_case_base
-        with pytest.raises(ValueError):
-            ct.scan_linear(cases, ct.TargetOracle(exact_case1_target),
-                           order=["case1", "case1", "case3"])
+        with pytest.raises(ValueError, match="empty target"):
+            ct.scan_linear(cases, ct.TargetOracle(ct.TargetCase(perceptions=())))
+
+    def test_duplicate_case_id_rejected(self, three_case_base, exact_case1_target):
+        cases, _ = three_case_base
+        with pytest.raises(ct.TreeError, match="duplicate case id"):
+            ct.scan_linear(cases + cases[:1], ct.TargetOracle(exact_case1_target))
+
+    def test_evaluation_failure_carries_partial_result(self, three_case_base,
+                                                       exact_case1_target):
+        # the partial result of a scan whose k-th completion query fails is a
+        # scan of the cases before the one whose search asked it
+        cases, _ = three_case_base
+
+        class FailingTarget:
+            """Stands in for the target; its k-th completion query raises."""
+
+            def __init__(self, k):
+                self.k = k
+
+            def __len__(self):
+                return len(exact_case1_target)
+
+            def completions(self, name, values, desired):
+                self.k -= 1
+                if self.k == 0:
+                    raise ConnectionError("context box went away")
+                return exact_case1_target.completions(name, values, desired)
+
+        ends = list(itertools.accumulate(len(c.perceptions) for c in cases))
+        unevaluated = ct.CaseOutcome(0.0, 0, False, False, ct.Substitution())
+        for k in range(1, ends[-1] + 1):
+            failing = sum(1 for end in ends if end < k)
+            with pytest.raises(ct.RetrievalError,
+                               match=f"evaluation failed on {cases[failing].id}: ") as err:
+                ct.scan_linear(cases, ct.TargetOracle(FailingTarget(k)))
+            before = ct.scan_linear(cases[:failing], ct.TargetOracle(exact_case1_target))
+            partial = err.value.partial
+            assert partial.per_case == {c.id: before.per_case.get(c.id, unevaluated)
+                                        for c in cases}, k
+            assert ((partial.best_case, partial.score, partial.substitution, partial.tests_used)
+                    == (before.best_case, before.score, before.substitution, before.tests_used))
 
     def test_costs_accumulate_per_case(self, three_case_base, exact_case1_target):
         cases, _ = three_case_base
