@@ -37,7 +37,7 @@ one label order, which ``pattern_labels`` owns: a row holds its ids in the
 sorted order of the pattern's generic labels, and the search decides labels
 in that order. ``unify`` and ``similarity.scored_unify`` run the search over
 every perception of a case; ``retrieval.scan_tree`` runs it for each case
-below a tested arc, over the rows its tree branch has tested so far.
+it searches, over the rows its tree branch has tested.
 Acquisition's dedupe, ``case_equivalent``, runs the same matcher and search
 with the stored case's labels standing in as concrete ids.
 """
@@ -239,6 +239,20 @@ class Substitution:
 # ---------------------------------------------------------------------------
 # unification
 
+def mask_weight(weights, mask: int) -> tuple[float, int]:
+    """(sum, count) of ``weights[i]`` over the set bits ``i`` of ``mask``,
+    summed in ascending ``i``: in one fixed order, no subset of the bits sums
+    above the whole, rounding included. Every score of the binding search and
+    every bound on one sums this way."""
+    w, n = 0.0, 0
+    while mask:
+        low = mask & -mask
+        w += weights[low.bit_length() - 1]
+        n += 1
+        mask ^= low
+    return w, n
+
+
 def _search_bindings(weights, perceptions, objective, interrupted=None):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
@@ -259,7 +273,7 @@ def _search_bindings(weights, perceptions, objective, interrupted=None):
     Each undecided perception keeps as its domain the rows that agree with
     the labels decided so far and give no other label a bound id (forward
     checking); a node's bound adds every one whose domain is not empty to the
-    matched perceptions. Weights are summed in ascending index order, for
+    matched perceptions. Weights are summed by ``mask_weight``, for
     candidates and bounds alike, so rounding cannot put a bound below a
     candidate under it; ``objective`` must not decrease in either argument.
     Returns (best_value, sorted (label, id) pairs, bitmask of the matched
@@ -284,12 +298,7 @@ def _search_bindings(weights, perceptions, objective, interrupted=None):
     def value(mask: int) -> float:
         found = values.get(mask)
         if found is None:
-            w, n = 0.0, 0
-            for i in range(mask.bit_length()):
-                if mask >> i & 1:
-                    w += weights[i]
-                    n += 1
-            found = values[mask] = objective(w, n)
+            found = values[mask] = objective(*mask_weight(weights, mask))
         return found
 
     best = value(matched), (), matched

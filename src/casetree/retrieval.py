@@ -9,23 +9,33 @@ node/test labels spell out its perceptions in descending priority order;
 Cases with a common high-priority prefix share nodes, which is where the
 memory saving and the shared query work come from.
 
-Retrieval scans the tree breadth first under a budget. Each arc test costs
-one comparison and asks the oracle for every injective way the node's free
-generic agents can be bound so that the tested value holds, as rows of ids.
-The tree shares oracle calls, as a Rete alpha memory does: an arc's rows are
-asked once and kept along its branch for every case below. A case is scored
-by the exact binding search over the rows of its tested branch positions; the
-score depends on those positions alone, so it needs to be current only where
-the scan can stop. When a deadline or cancel flag can stop the scan, every
-case below an arc that is not contradicted is searched right after the arc,
-so every case has a usable partial score at any interruption point.
-Otherwise the scan knows where it stops and searches each case once, there,
-over the last tested prefix of its branch. An arc is contradicted exactly
-when it has no row; when pruning is on, that abandons the branch and freezes
-the scores of the cases below it, and with pruning off the scan keeps walking
-and converges to the offline similarity of every case. Besides its score, a
-scan keeps one record per case: how many arcs of its branch were tested,
-and its tested prefix that no arc contradicted.
+Retrieval walks the tree under a budget. Each arc test costs one comparison
+and asks the oracle for every injective way the node's free generic agents
+can be bound so that the tested value holds, as rows of ids. The tree shares
+oracle calls, as a Rete alpha memory does: an arc's rows are asked once and
+kept along its branch for every case below. An arc is contradicted exactly
+when it has no row; when pruning is on, that ends the walk of every case
+below it, and with pruning off the walk goes on and converges to the offline
+similarity of every case. A case's walk also ends at its last arc, and every
+walk ends once the scan stops testing. Each case is searched at most once,
+after its walk ends, by the exact binding search over the rows of its tested
+branch positions. Besides that score, a scan keeps one record per case: how
+many arcs of its branch were tested, and its tested prefix that no arc
+contradicted.
+
+What can stop a scan decides its order. A scan that nothing can interrupt
+ranks the cases: it walks breadth first and, once the walk stops, searches
+every case. When a deadline or cancel flag can stop it, it answers top-1:
+its frontier is a heap of arcs to test and cases to search, highest bound
+first, and it stops as soon as no entry left can beat the leader, the best
+case searched so far (the threshold stop of Fagin, Lotem & Naor, PODS 2001,
+over a best-first walk, as in Hansen & Zhou, JAIR 2007). A case still
+walking is bounded by the objective of all its positions and a case to
+search by that of its prefix's positions that have rows, the search's own
+first bound. Both sum their weights with ``cases.mask_weight``, as the
+search does, so no bound falls below the score it bounds and exact ties keep
+going to the lowest case id. A case the scan never searched is reported
+unevaluated, with score 0.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``, maximizing ``similarity.objective``. The linear
@@ -34,29 +44,30 @@ over the same rows, in the order of the cases it is given, so the two engines
 differ only in how they share work. Both stop on the same check and assemble
 their results the same way.
 
-Budgets are observed before every test: a comparison budget caps the used
-count exactly, and a deadline or external cancellation stops the scan before
-its next oracle call. Both engines also observe deadline and cancellation at
-every node of every search, so a tree scan overruns a deadline by one oracle
-call plus one search node at most. Under a deadline or cancel flag an arc's
-scores and records are committed only once every case below it is searched,
-so an arc interrupted in its searches counts as used but changes no case,
-and an interrupted scan only assembles its result. A scan that nothing can
-interrupt stops at its end, at its comparison budget or at an oracle failure,
-and brings every score current there, before it returns or raises.
+Budgets are observed before every test. A comparison budget caps the used
+count exactly; once it is spent, or once the oracle has failed, every walk is
+over and the scan goes on to its searches. A deadline or external
+cancellation stops the scan before its next oracle call and at every node of
+every search, so a scan overruns a deadline by one oracle call plus one
+search node at most, and a case interrupted in its search stays unevaluated.
+An oracle failure raises ``RetrievalError`` after the searches, carrying the
+result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings,
-                    pattern_labels)
+                    mask_weight, pattern_labels)
 from .similarity import DEFAULT_PARAMS, SimilarityParams, objective, scored_unify
 
 
@@ -261,6 +272,9 @@ class TargetOracle:
 # ---------------------------------------------------------------------------
 # results
 
+NO_SUBSTITUTION = Substitution()
+
+
 @dataclass(frozen=True)
 class CaseOutcome:
     score: float
@@ -292,7 +306,7 @@ def _result(per_case: dict[str, CaseOutcome], tests_used: int, start: float
     return RetrievalResult(
         best_case=best_id,
         score=0.0 if best is None else best.score,
-        substitution=Substitution() if best is None else best.substitution,
+        substitution=NO_SUBSTITUTION if best is None else best.substitution,
         per_case=per_case,
         tests_used=tests_used,
         elapsed_us=int((time.perf_counter() - start) * 1_000_000),
@@ -321,17 +335,16 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
               params: SimilarityParams = DEFAULT_PARAMS,
               prune: bool = True,
               cancel=None) -> RetrievalResult:
-    """Breadth-first anytime retrieval over the case tree.
+    """Anytime retrieval over the case tree.
 
-    Returns the best case under the anytime score together with every case's
-    (score, scanned count, pruned flag). Pruned cases keep their frozen score
-    in the final ranking.
+    With no deadline or ``cancel`` flag, ranks every case: returns the best
+    case together with every case's (score, scanned count, pruned flag), each
+    score exact over the tested prefix of its branch. Pruned cases keep their
+    frozen score in the ranking.
 
-    With a deadline or ``cancel`` flag, every case below an arc that is not
-    contradicted is searched right after the arc, so the scan can stop
-    anywhere. Without either, each case is searched once, over the last
-    tested prefix of its branch, when the scan stops; the results are the
-    same.
+    With a deadline or ``cancel`` flag, answers top-1: the best case over
+    every case's tested prefix, or the best one searched if the scan is
+    stopped first. Cases it never searched read ``evaluated=False``.
     """
     if oracle.size < 1:
         raise ValueError("cannot scan against an empty target")
@@ -339,71 +352,112 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     start = time.perf_counter()
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
     interrupted = _stop_check(budget, start, cancel)
-    # per case: best score with its restricted binding pairs, and (arcs of its
-    # branch tested, its tested prefix that no arc contradicted)
-    best = dict.fromkeys(tree.cases, (0.0, ()))
-    record = dict.fromkeys(tree.cases, (0, ()))
+    size, cases, order, paths = oracle.size, tree.cases, tree.order, tree.paths
+    # per case: (arcs of its branch tested, its tested prefix that no arc
+    # contradicted); per searched case: its score and substitution
+    record = dict.fromkeys(cases, (0, ()))
+    found: dict[str, tuple[float, Substitution]] = {}
     tests_used = 0
+    failure = None  # (message, exception) once the oracle fails
 
-    def search(prefixes) -> bool:
-        """Score each (case id, tested prefix); commit all of them, or none if
-        interrupted."""
-        scores = {}
-        for cid, tested in prefixes:
-            order, case = tree.order[cid], tree.cases[cid]
-            found = _search_bindings(
-                case.weights,
-                [(order[depth], own, rows) for depth, own, rows in tested],
-                objective(case, oracle.size, params),
-                interrupted,
-            )
-            if found is None:
+    def search(cid: str) -> bool:
+        tested = record[cid][1]
+        score, pairs = 0.0, ()  # the value of an empty prefix
+        if tested:
+            got = _search_bindings(
+                cases[cid].weights, [(order[cid][d], own, rows) for d, own, rows in tested],
+                objective(cases[cid], size, params), interrupted)
+            if got is None:
                 return False
-            scores[cid] = found[:2]
-        best.update(scores)
+            score, pairs = got[:2]
+        found[cid] = score, Substitution(pairs)
         return True
 
-    def result() -> RetrievalResult:
-        if interrupted is None:  # a score depends on the tested prefix alone
-            search((cid, tested) for cid, (_, tested) in record.items() if tested)
-        per_case = {}
-        for cid, (score, pairs) in best.items():
-            count, tested = record[cid]
-            # with pruning, only the last tested arc of a branch can contradict
-            per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count,
-                                        True, Substitution(pairs))
-        return _result(per_case, tests_used, start)
+    at_stop: list[str] = []  # the cases a ranking searches once the walk stops
+    # frontier entries: (-bound, 0, sequence number, arc, tested prefix) for an
+    # arc to test and (-bound, 1, case id, None, None) for a case to search; a
+    # tested prefix holds per branch position tested and not contradicted (its
+    # depth, its node's generic labels in sorted order, its rows), shared by
+    # every case below
+    if interrupted is None:
+        # a ranking: breadth first, and every case searched at the stop; no
+        # bound is needed, since nothing is cut
+        frontier = deque()
+        pop, end = frontier.popleft, at_stop.append
 
-    # per branch position tested and not contradicted: (its depth, its node's
-    # generic labels in sorted order, its rows), shared by every case below
-    queue: deque[tuple[TreeNode, tuple]] = deque((node, ()) for node in tree.roots)
-    while queue:
-        node, tested = queue.popleft()
-        labels = node.generic_labels
-        for arc in node.arcs:
-            if tests_used == limit or (interrupted is not None and interrupted()):
-                return result()
+        def walk(nodes, tested) -> None:
+            frontier.extend((-math.inf, 0, 0, arc, tested)
+                            for node in nodes for arc in node.arcs)
+    else:
+        # top-1: highest bound first, an arc before a case on an equal bound
+        frontier = []
+        pop, sequence = partial(heappop, frontier), itertools.count()
+
+        def value(cid: str, mask: int) -> float:
+            case = cases[cid]
+            return objective(case, size, params)(*mask_weight(case.weights, mask))
+
+        whole = {cid: value(cid, (1 << len(case.weights)) - 1) for cid, case in cases.items()}
+
+        def walk(nodes, tested) -> None:
+            for node in nodes:
+                for arc in node.arcs:
+                    # every case still walking matched every arc tested so
+                    # far; with pruning off this bound is looser, still safe
+                    bound = max(whole[cid] for cid in arc.below)
+                    heappush(frontier, (-bound, 0, next(sequence), arc, tested))
+
+        def end(cid: str) -> None:
+            mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
+            heappush(frontier, (-value(cid, mask), 1, cid, None, None))
+
+    walk(tree.roots, ())
+    leader = (math.inf, "")  # (-score, case id) of the best case searched
+    while frontier:
+        negative, _, key, arc, tested = pop()
+        if negative > leader[0] or (arc is None and (negative, key) > leader):
+            break  # no entry left can beat the leader
+        if arc is None:
+            if not search(key):
+                break
+            leader = min(leader, (-found[key][0], key))
+            continue
+        if interrupted is not None and interrupted():
+            break
+        node, rows = arc.node, None
+        if tests_used != limit and failure is None:
             tests_used += 1
             try:
                 rows = oracle.completions(node.predicate, node.values, arc.test)
-            except Exception as exc:  # surface with partial results attached
-                raise RetrievalError(
-                    f"oracle failed at {node.label()}=[{arc.test}]: {exc}",
-                    partial=result(),
-                ) from exc
-            child_tested = tested
-            if rows:  # not contradicted: every case below now has a longer prefix
-                child_tested = tested + ((node.depth, labels, rows),)
-                if interrupted is not None and not search(
-                        (cid, child_tested) for cid in arc.below):
-                    return result()
-            seen = (node.depth + 1, child_tested)
+            except Exception as exc:  # search what was tested, then raise
+                failure = f"oracle failed at {node.label()}=[{arc.test}]: {exc}", exc
+        if rows is None:  # the budget is spent or the oracle failed: walks are over
             for cid in arc.below:
-                record[cid] = seen
-            if rows or not prune:
-                queue.extend((child, child_tested) for child in arc.children)
+                end(cid)
+            continue
+        if rows:  # not contradicted: every case below now has a longer prefix
+            tested = tested + ((node.depth, node.generic_labels, rows),)
+        cut = prune and not rows  # a contradiction ends every walk below
+        seen = (node.depth + 1, tested)
+        for cid in arc.below:
+            record[cid] = seen
+            if cut or len(paths[cid]) == seen[0]:
+                end(cid)
+        if not cut:
+            walk(arc.children, tested)
 
-    return result()
+    for cid in at_stop:
+        search(cid)
+    per_case = {}
+    for cid, (count, tested) in record.items():
+        score, substitution = found.get(cid, (0.0, NO_SUBSTITUTION))
+        # with pruning, only the last tested arc of a branch can contradict
+        per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count,
+                                    cid in found, substitution)
+    result = _result(per_case, tests_used, start)
+    if failure is not None:  # surface with the result attached
+        raise RetrievalError(failure[0], partial=result) from failure[1]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +477,7 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
     }
     if len(per_case) != len(base):
         raise TreeError("duplicate case id in base")
-    if oracle.size < 1 and base:
+    if oracle.size < 1:
         raise ValueError("cannot scan against an empty target")
 
     start = time.perf_counter()

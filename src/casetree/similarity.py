@@ -8,12 +8,12 @@ where T is the target's perception count and m the number of matched source
 perceptions. The first factor rewards covering the source's relevant
 perceptions; the second penalizes leaving parts of the target unexplained,
 scaled by ``alpha`` in [0, 1]. The offline score maximizes over injective
-agent bindings; the anytime score, which ``retrieval.scan_tree`` keeps for
-every case, evaluates whatever has been matched at an interruption point, so
-it starts at 0 with nothing scanned and converges to the offline value once
-the scan completes un-pruned. ``objective`` builds the one function both
-maximize, the formula for a case against a target of a given size, and the
-binding search asks it for every candidate and bound.
+agent bindings; the anytime score, which ``retrieval.scan_tree`` gives a
+case over the tested prefix of its branch, maximizes over what that prefix
+can match, so it starts at 0 with nothing scanned and converges to the
+offline value once the scan completes un-pruned. ``objective`` builds the
+one function both maximize, the formula for a case against a target of a
+given size, and the binding search asks it for every candidate and bound.
 """
 
 from __future__ import annotations

@@ -3,13 +3,15 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
+from casetree.cases import mask_weight
+from casetree.similarity import objective
 from support import (brute_force_optimum, brute_force_similarity, random_base, random_target,
                      substitute, zero_odd_weights)
 
@@ -194,20 +196,29 @@ class TestScanTree:
         cancel.set()
         r = ct.scan_tree(tree, oracle, cancel=cancel)
         assert r.tests_used == 0
-        assert all(oc.score == 0.0 for oc in r.per_case.values())
+        assert all(oc.scanned == 0 and not oc.evaluated for oc in r.per_case.values())
+        assert (r.best_case, r.score) == (None, 0.0)
 
-        # cancelled during the first of the root node's two tests: the
-        # second is never asked, and the interrupted arc changes no case
+        # cancelled during the first of the root node's two tests: the second
+        # is never asked and no case is searched, but the tested arc counts
+        asked = []
+
         class CancellingOracle(ct.TargetOracle):
             def completions(self, name, values, desired):
                 cancel.set()
+                asked.append(desired)
                 return super().completions(name, values, desired)
 
         cancel.clear()
         r = ct.scan_tree(tree, CancellingOracle(exact_case1_target), cancel=cancel)
-        assert len(tree.roots[0].arcs) == 2
-        assert r.tests_used == 1
-        assert all(oc.scanned == 0 and oc.score == 0.0 for oc in r.per_case.values())
+        [root] = tree.roots
+        assert len(root.arcs) == 2
+        assert r.tests_used == len(asked) == 1
+        [first] = [arc for arc in root.arcs if arc.test == asked[0]]
+        assert {cid: oc.scanned for cid, oc in r.per_case.items()} == {
+            cid: int(cid in first.below) for cid in tree.cases}
+        assert not any(oc.evaluated for oc in r.per_case.values())
+        assert (r.best_case, r.score) == (None, 0.0)
 
     def test_deadline_budget_stops_early(self, three_case_base, exact_case1_target):
         cases, priority = three_case_base
@@ -221,22 +232,31 @@ class TestScanTree:
         oracle = SlowOracle(exact_case1_target)
         r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(0.006))
         assert r.tests_used < tree.arc_count()
-        # a deadline that passes inside the first test stops the scan there
+        # a deadline that passes inside the first test stops the scan before
+        # any search: the tested arc counts, and no case is evaluated
         r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(0.002))
         assert r.tests_used == 1
-        assert all(oc.scanned == 0 for oc in r.per_case.values())
+        scanned = {cid for cid, oc in r.per_case.items() if oc.scanned}
+        assert scanned in [arc.below for arc in tree.roots[0].arcs]
+        assert all(oc.scanned <= 1 and not oc.evaluated for oc in r.per_case.values())
+        # a deadline that never passes gives the unbounded scan's answer
         generous = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(10.0), prune=False)
-        assert generous.tests_used == tree.arc_count()
+        full = ct.scan_tree(tree, ct.TargetOracle(exact_case1_target), prune=False)
+        assert full.best_case == "case1"
+        assert ((generous.best_case, generous.score, generous.substitution)
+                == (full.best_case, full.score, full.substitution))
+        assert all(oc == full.per_case[cid] for cid, oc in generous.per_case.items()
+                   if oc.evaluated)
+        assert generous.tests_used <= tree.arc_count()
 
     def test_oracle_failure_carries_partial_results(self, three_case_base, exact_case1_target):
-        # the partial result holds every score over the three tests that
-        # succeeded, whether cases are searched only when the scan stops or
-        # after each arc (under a cancel flag that is never set)
+        # a failed test ends every walk where it stands, as a spent comparison
+        # budget does: the partial result is the scan under a budget of the
+        # three tests that succeeded, with the failed test counted, whether the
+        # scan ranks every case or answers top-1 (under a cancel flag that is
+        # never set)
         cases, priority = three_case_base
         tree = ct.build_tree(cases, priority)
-        three = ct.scan_tree(tree, ct.TargetOracle(exact_case1_target),
-                             ct.ScanBudget.comparisons(3), prune=False)
-        assert any(oc.score > 0 for oc in three.per_case.values())
 
         class FlakyOracle(ct.TargetOracle):
             calls = 0
@@ -248,20 +268,25 @@ class TestScanTree:
                 return super().completions(name, values, desired)
 
         for cancel in (None, threading.Event()):
-            with pytest.raises(ct.RetrievalError) as err:
+            three = ct.scan_tree(tree, ct.TargetOracle(exact_case1_target),
+                                 ct.ScanBudget.comparisons(3), prune=False, cancel=cancel)
+            assert any(oc.evaluated and oc.score > 0 for oc in three.per_case.values())
+            with pytest.raises(ct.RetrievalError, match="oracle failed at ") as err:
                 ct.scan_tree(tree, FlakyOracle(exact_case1_target), prune=False, cancel=cancel)
             partial = err.value.partial
             assert partial is not None
             assert partial.tests_used == 4
             assert partial.per_case == three.per_case, cancel
+            assert ((partial.best_case, partial.score, partial.substitution)
+                    == (three.best_case, three.score, three.substitution))
 
     @pytest.mark.parametrize("which", ["three", "random"])
     def test_each_case_is_searched_once_unless_a_stop_can_interrupt(
             self, monkeypatch, three_case_base, exact_case1_target, which):
-        # a case's score depends only on its tested prefix: with no deadline
-        # or cancel flag each case is searched once, when the scan stops;
-        # with a cancel flag, every case below each arc that is not
-        # contradicted is searched right after that arc
+        # a case's score depends only on its tested prefix, so it is searched
+        # at most once, after its walk ends: with no deadline or cancel flag
+        # every case whose prefix has a row is searched; with a cancel flag,
+        # only those that the top-1 answer needs
         if which == "three":
             cases, priority = three_case_base
             target = exact_case1_target
@@ -290,18 +315,27 @@ class TestScanTree:
         not_contradicted = [arc for node in tree.iter_nodes() for arc in node.arcs
                             if injective(oracle.completions(node.predicate, node.values,
                                                             arc.test))]
+        with_rows = set().union(*(arc.below for arc in not_contradicted))
         full, searches = scan()
-        assert searches == len(set().union(*(arc.below for arc in not_contradicted)))
+        assert searches == len(with_rows)
         assert searches <= len(cases)
-        eager, searches = scan(cancel=threading.Event())
-        assert searches == sum(len(arc.below) for arc in not_contradicted)
-        assert searches > len(cases)
-        assert eager == full
+        top, searches = scan(cancel=threading.Event())
+        evaluated = {cid for cid, oc in top.per_case.items() if oc.evaluated}
+        assert searches == len(evaluated & with_rows)
+        assert 0 < searches < len(with_rows)
+        assert ((top.best_case, top.score, top.substitution)
+                == (full.best_case, full.score, full.substitution))
+        assert all(top.per_case[cid] == full.per_case[cid] for cid in evaluated)
         budget = ct.ScanBudget.comparisons(tree.arc_count() // 2)
         cut, searches = scan(budget)
         assert 0 < searches <= len(cases)
         assert cut.tests_used == budget.max_comparisons
-        assert scan(budget, threading.Event())[0] == cut
+        top_cut, searches = scan(budget, threading.Event())
+        assert top_cut.tests_used <= budget.max_comparisons
+        # the searched cases are the evaluated ones whose tested prefix has a row
+        rows = set(not_contradicted)
+        assert searches == sum(1 for cid, oc in top_cut.per_case.items() if oc.evaluated
+                               and any(arc in rows for arc in tree.paths[cid][:oc.scanned]))
 
     def test_concurrent_scans_share_one_tree(self, three_case_base):
         cases, priority = three_case_base
@@ -370,7 +404,7 @@ class TestScanTree:
             self, seed, players, zero, prune, alpha, budget, cancel):
         # whole-pitch targets perceive every other player; zero weights and
         # alpha 0 make exact score ties common; a cancel flag that is never
-        # set makes the scan search after every arc instead of once at its stop
+        # set makes the scan answer top-1 instead of ranking every case
         base = [c for c in random_base(seed % 50, 8, max_players=8, max_perceptions=4)
                 if len(c.generic_labels) <= 3]
         if zero:
@@ -389,42 +423,138 @@ class TestScanTree:
         r = ct.scan_tree(tree, Recording(target), ct.ScanBudget.comparisons(budget),
                          ct.SimilarityParams(alpha), prune=prune,
                          cancel=threading.Event() if cancel else None)
-        # walk the tree breadth first over the recorded answers: per arc the
-        # scan tested, whether it had a row
-        had_row = {}
-        queue = deque(tree.roots)
-        while queue:
-            node = queue.popleft()
-            for arc in node.arcs[:len(calls) - len(had_row)]:
-                question, rows = calls[len(had_row)]
-                assert question == (node.predicate, node.values, arc.test)
-                had_row[arc] = bool(rows)
-                if rows or not prune:
-                    queue.extend(arc.children)
-        assert len(had_row) == len(calls) == r.tests_used
+
+        def question(arc):
+            return arc.node.predicate, arc.node.values, arc.test
+
+        # the arcs tested are the first ``scanned`` of each case's branch
+        tested = {arc for cid, oc in r.per_case.items() for arc in tree.paths[cid][:oc.scanned]}
+        assert Counter(q for q, _ in calls) == Counter(map(question, tested))
+        assert len(calls) == len(tested) == r.tests_used <= budget
+        had_row = {q: bool(rows) for q, rows in calls}
+        if not cancel:
+            # a ranking walks breadth first: replay that order over the answers
+            queue = deque(tree.roots)
+            order = []
+            while queue:
+                node = queue.popleft()
+                for arc in node.arcs:
+                    if arc in tested:
+                        order.append(question(arc))
+                        if had_row[question(arc)] or not prune:
+                            queue.extend(arc.children)
+            assert order == [q for q, _ in calls]
+        prefix = {}  # per case, its best over its tested prefix, as brute force finds it
         for case in base:
             oc = r.per_case[case.id]
-            branch = [had_row[arc] for arc in tree.paths[case.id] if arc in had_row]
-            assert oc.scanned == len(branch), case.id
+            branch = [had_row[question(arc)] for arc in tree.paths[case.id][:oc.scanned]]
+            if prune:  # a contradicted arc ends the walk below it
+                assert all(branch[:-1]), case.id
             assert oc.pruned == (prune and not all(branch)), case.id
             allowed = tree.order[case.id][:oc.scanned]
-            want_score, want_sub, want_matched = brute_force_optimum(case, target, alpha,
-                                                                     allowed)
+            prefix[case.id] = want_score, want_sub, want_matched = brute_force_optimum(
+                case, target, alpha, allowed)
+            assert oc.evaluated or cancel, case.id  # a ranking searches every case
+            if not oc.evaluated:
+                assert (oc.score, oc.substitution) == (0.0, ct.Substitution()), case.id
+                continue
             assert oc.score == pytest.approx(want_score, abs=1e-12), case.id
             assert oc.substitution == want_sub, case.id
             binding = oc.substitution.as_dict()
             matched = tuple(i for i in sorted(allowed)
                             if substitute(case.perceptions[i], binding) in target.perception_set)
             assert matched == want_matched, case.id
+        if base:
+            # top-1 or not, the answer is the best over the tested prefixes, and
+            # every case that could tie it with a lower id was searched
+            top = max(score for score, _, _ in prefix.values())
+            assert r.score == pytest.approx(top, abs=1e-12)
+            assert prefix[r.best_case][0] == pytest.approx(top, abs=1e-12)
+            assert all(r.per_case[cid].evaluated for cid, (score, _, _) in prefix.items()
+                       if cid < r.best_case and score >= top - 1e-12)
+
+    @given(st.integers(0, 10_000), st.sampled_from(range(8, 23, 2)), st.booleans(),
+           st.booleans(), st.sampled_from((0.0, 0.5, 1.0)))
+    @settings(max_examples=20, deadline=None)
+    def test_never_set_flag_answers_the_unbounded_top1(self, seed, players, zero, prune, alpha):
+        # a top-1 scan that nothing stops returns the ranking's best case,
+        # score and substitution; it searched a case only to its final score,
+        # and left unsearched only cases whose bound cannot beat its answer
+        base = random_base(seed % 50, 10, max_players=8, max_perceptions=6)
+        if zero:
+            base = [zero_odd_weights(c) for c in base]
+        world = ct.generate_world(seed, players)
+        target = ct.elaborate(world, world.self_id, radius=120)
+        tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
+        oracle, params = ct.TargetOracle(target), ct.SimilarityParams(alpha)
+        full = ct.scan_tree(tree, oracle, params=params, prune=prune)
+        top = ct.scan_tree(tree, oracle, params=params, prune=prune, cancel=threading.Event())
+        assert ((top.best_case, top.score, top.substitution)
+                == (full.best_case, full.score, full.substitution))
+        leader = (-top.score, top.best_case)
+        for case in base:
+            oc = top.per_case[case.id]
+            if oc.evaluated:
+                assert oc == full.per_case[case.id], case.id
+                continue
+            assert (oc.score, oc.substitution) == (0.0, ct.Substitution()), case.id
+            # its bound: the tested positions that had rows, and the untested
+            # ones unless a contradiction ended its walk
+            order, branch = tree.order[case.id], tree.paths[case.id]
+            positions = [i for i, arc in zip(order, branch[:oc.scanned])
+                         if oracle.completions(arc.node.predicate, arc.node.values, arc.test)]
+            if not oc.pruned:
+                positions += order[oc.scanned:]
+            bound = objective(case, len(target), params)(
+                *mask_weight(case.weights, sum(1 << i for i in positions)))
+            assert full.per_case[case.id].score <= bound, case.id
+            assert (-bound, case.id) > leader, case.id
+
+    def test_equal_optima_go_to_the_lowest_id_whatever_the_branch_order(self):
+        # "a" weighs its perceptions 0.1, 0.2, 0.7 in index order, and the
+        # priority order tests them in reverse. Summed in that branch order its
+        # full match is 0.9999999999999999; summed in index order, as the
+        # search sums, it is 1.0. "b" matches the same perceptions with equal
+        # weights, so both optima are 1.0 and the lower id must win. A bound
+        # summed in branch order would search "b" first and then cut "a".
+        perceptions = tuple(ct.Perception(name, (ct.ME,), True) for name in "xyz")
+        a = ct.GenericCase("a", perceptions, (0.1, 0.2, 0.7))
+        b = ct.GenericCase("b", perceptions, (1.0, 1.0, 1.0))
+        tree = ct.build_tree([b, a], ("z", "y", "x"))
+        assert tree.order["a"] == (2, 1, 0)
+        assert 0.7 + 0.2 + 0.1 < 1.0 == 0.1 + 0.2 + 0.7
+        oracle = ct.TargetOracle(ct.TargetCase(perceptions))
+        for prune in (True, False):
+            full = ct.scan_tree(tree, oracle, prune=prune)
+            top = ct.scan_tree(tree, oracle, prune=prune, cancel=threading.Event())
+            assert full.per_case["a"].score == full.per_case["b"].score == 1.0
+            assert (top.best_case, top.score) == (full.best_case, full.score) == ("a", 1.0)
+
+    def test_top1_tests_fewer_arcs_than_the_tree_holds(self):
+        # on a 22-player whole-pitch target the bound cuts arcs that pruning
+        # alone would test
+        world = ct.generate_world(3, 22)
+        target = ct.elaborate(world, world.self_id, radius=120)
+        tree = ct.build_tree(random_base(7, 30, max_players=8), ct.FOOTBALL_PRIORITY)
+        oracle = ct.TargetOracle(target)
+        full = ct.scan_tree(tree, oracle)
+        top = ct.scan_tree(tree, oracle, cancel=threading.Event())
+        assert top.tests_used < full.tests_used < tree.arc_count()
+        assert ((top.best_case, top.score, top.substitution)
+                == (full.best_case, full.score, full.substitution))
 
     @pytest.mark.parametrize("stop", ["cancel", "deadline"])
     def test_interrupt_inside_an_arc_changes_no_case(self, monkeypatch, stop):
         # one check before each oracle test and one at every node of each
-        # search below a tested arc; a stop inside an arc's searches leaves
-        # every case where the arcs before it left them, with the arc counted
+        # search; a stop inside a case's search leaves that case unevaluated,
+        # every case searched before it as the full scan leaves it, and every
+        # walk where the tests before the stop left it
         world = ct.generate_world(8, 8)
         target = ct.elaborate(world, world.self_id, radius=120)
-        tree = ct.build_tree(random_base(4, 5, max_players=8), ct.FOOTBALL_PRIORITY)
+        base = random_base(4, 5, max_players=8)
+        tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
+        case_of = {id(case.weights): case.id for case in base}
+        assert len(case_of) == len(base)
 
         class Counting:
             """A cancel flag that reads set from its ``k``-th check on."""
@@ -447,20 +577,27 @@ class TestScanTree:
                 return self.now
 
         before_test = []  # the number of the check asked before each oracle test
+        searches = {}  # per case searched: the checks before and at the end of its search
         counting = Counting()
+        search = ct.retrieval._search_bindings
 
         class Recording(ct.TargetOracle):
             def completions(self, name, values, desired):
                 before_test.append(counting.checks)
                 return super().completions(name, values, desired)
 
+        def recording(weights, *args):
+            first = counting.checks
+            found = search(weights, *args)
+            searches[case_of[id(weights)]] = first, counting.checks
+            return found
+
+        monkeypatch.setattr(ct.retrieval, "_search_bindings", recording)
         full = ct.scan_tree(tree, Recording(target), cancel=counting)
+        monkeypatch.undo()
         total = counting.checks
-        searched = [b - a - 1 for a, b in zip(before_test, before_test[1:] + [total + 1])]
-        assert max(searched) >= 10  # some stops fall deep inside a search
+        assert max(last - first for first, last in searches.values()) >= 10  # deep stops
         oracle = ct.TargetOracle(target)
-        partial = {n: ct.scan_tree(tree, oracle, ct.ScanBudget.comparisons(n)).per_case
-                   for n in range(full.tests_used + 1)}
         for k in range(1, total + 1):
             if stop == "cancel":
                 r = ct.scan_tree(tree, oracle, cancel=Counting(k))
@@ -469,9 +606,18 @@ class TestScanTree:
                 r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(k))
                 monkeypatch.undo()
             tested = sum(1 for check in before_test if check < k)
-            inside = k not in before_test  # the stop fell inside an arc's searches
             assert r.tests_used == tested, k
-            assert r.per_case == partial[tested - 1 if inside else tested], k
+            walked = ct.scan_tree(tree, oracle, ct.ScanBudget.comparisons(tested),
+                                  cancel=Counting())
+            for cid, oc in r.per_case.items():
+                assert (oc.scanned, oc.pruned) == (walked.per_case[cid].scanned,
+                                                   walked.per_case[cid].pruned), (k, cid)
+                if cid in searches:  # evaluated exactly when its search ended before k
+                    assert oc.evaluated == (searches[cid][1] < k), (k, cid)
+                if oc.evaluated:
+                    assert oc == full.per_case[cid], (k, cid)
+                else:
+                    assert (oc.score, oc.substitution) == (0.0, ct.Substitution()), (k, cid)
 
 
 class TestScanBudget:
@@ -553,6 +699,14 @@ class TestScanLinear:
         cases, _ = three_case_base
         with pytest.raises(ValueError, match="empty target"):
             ct.scan_linear(cases, ct.TargetOracle(ct.TargetCase(perceptions=())))
+
+    def test_empty_target_rejected_as_by_the_tree(self):
+        # with no cases, both engines still reject an empty target
+        oracle = ct.TargetOracle(ct.TargetCase(perceptions=()))
+        with pytest.raises(ValueError, match="empty target"):
+            ct.scan_linear([], oracle)
+        with pytest.raises(ValueError, match="empty target"):
+            ct.scan_tree(ct.build_tree([], ()), oracle)
 
     def test_duplicate_case_id_rejected(self, three_case_base, exact_case1_target):
         cases, _ = three_case_base
