@@ -34,8 +34,10 @@ walking is bounded by the objective of all its positions and a case to
 search by that of its prefix's positions that have rows, the search's own
 first bound. Both sum their weights with ``cases.mask_weight``, as the
 search does, so no bound falls below the score it bounds and exact ties keep
-going to the lowest case id. A case the scan never searched is reported
-unevaluated, with score 0.
+going to the lowest case id. One case goes ahead of its bound: the first
+whose walk ends with a positive bound is searched at once, so that a deadline
+too short for the walk still gets an answer. A case the scan never searched
+is reported unevaluated, with score 0.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``, maximizing ``similarity.objective``. The linear
@@ -344,7 +346,9 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
 
     With a deadline or ``cancel`` flag, answers top-1: the best case over
     every case's tested prefix, or the best one searched if the scan is
-    stopped first. Cases it never searched read ``evaluated=False``.
+    stopped first. The first case whose walk ends with a positive bound is
+    searched at once, so only a stop before that search ends answers no
+    case. Cases it never searched read ``evaluated=False``.
     """
     if oracle.size < 1:
         raise ValueError("cannot scan against an empty target")
@@ -370,24 +374,26 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             if got is None:
                 return False
             score, pairs = got[:2]
-        found[cid] = score, Substitution(pairs)
+        found[cid] = score, Substitution(pairs) if pairs else NO_SUBSTITUTION
         return True
 
-    at_stop: list[str] = []  # the cases a ranking searches once the walk stops
     # frontier entries: (-bound, 0, sequence number, arc, tested prefix) for an
     # arc to test and (-bound, 1, case id, None, None) for a case to search; a
     # tested prefix holds per branch position tested and not contradicted (its
     # depth, its node's generic labels in sorted order, its rows), shared by
     # every case below
     if interrupted is None:
-        # a ranking: breadth first, and every case searched at the stop; no
-        # bound is needed, since nothing is cut
+        # a ranking: breadth first, and every case searched once the walk
+        # stops; no bound is needed, since nothing is cut
         frontier = deque()
-        pop, end = frontier.popleft, at_stop.append
+        pop = frontier.popleft
 
         def walk(nodes, tested) -> None:
             frontier.extend((-math.inf, 0, 0, arc, tested)
                             for node in nodes for arc in node.arcs)
+
+        def end(below, depth=None) -> None:
+            """Nothing to queue: every case is searched once the walk stops."""
     else:
         # top-1: highest bound first, an arc before a case on an equal bound
         frontier = []
@@ -407,9 +413,21 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                     bound = max(whole[cid] for cid in arc.below)
                     heappush(frontier, (-bound, 0, next(sequence), arc, tested))
 
-        def end(cid: str) -> None:
-            mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
-            heappush(frontier, (-value(cid, mask), 1, cid, None, None))
+        leaderless = True  # no case has been queued to lead yet
+
+        def end(below, depth=None) -> None:
+            """Queue the search of each case below whose branch ends at
+            ``depth``, or of each one when ``depth`` is None. The first case
+            queued with a positive bound goes to the top, so that a deadline
+            too short for the walk still gets an answer."""
+            nonlocal leaderless
+            for cid in below:
+                if depth is None or len(paths[cid]) == depth:
+                    mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
+                    bound = value(cid, mask)
+                    if leaderless and bound > 0:
+                        leaderless, bound = False, math.inf
+                    heappush(frontier, (-bound, 1, cid, None, None))
 
     walk(tree.roots, ())
     leader = (math.inf, "")  # (-score, case id) of the best case searched
@@ -432,22 +450,22 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             except Exception as exc:  # search what was tested, then raise
                 failure = f"oracle failed at {node.label()}=[{arc.test}]: {exc}", exc
         if rows is None:  # the budget is spent or the oracle failed: walks are over
-            for cid in arc.below:
-                end(cid)
+            end(arc.below)
             continue
         if rows:  # not contradicted: every case below now has a longer prefix
             tested = tested + ((node.depth, node.generic_labels, rows),)
-        cut = prune and not rows  # a contradiction ends every walk below
         seen = (node.depth + 1, tested)
         for cid in arc.below:
             record[cid] = seen
-            if cut or len(paths[cid]) == seen[0]:
-                end(cid)
-        if not cut:
+        if prune and not rows:  # a contradiction ends every walk below
+            end(arc.below)
+        else:
+            end(arc.below, seen[0])
             walk(arc.children, tested)
 
-    for cid in at_stop:
-        search(cid)
+    if interrupted is None:
+        for cid in cases:
+            search(cid)
     per_case = {}
     for cid, (count, tested) in record.items():
         score, substitution = found.get(cid, (0.0, NO_SUBSTITUTION))

@@ -286,7 +286,7 @@ class TestScanTree:
         # a case's score depends only on its tested prefix, so it is searched
         # at most once, after its walk ends: with no deadline or cancel flag
         # every case whose prefix has a row is searched; with a cancel flag,
-        # only those that the top-1 answer needs
+        # only the first case whose walk ends and those the top-1 answer needs
         if which == "three":
             cases, priority = three_case_base
             target = exact_case1_target
@@ -447,6 +447,8 @@ class TestScanTree:
         prefix = {}  # per case, its best over its tested prefix, as brute force finds it
         for case in base:
             oc = r.per_case[case.id]
+            # every arc of its branch that was tested counts, for each case
+            assert oc.scanned == sum(arc in tested for arc in tree.paths[case.id]), case.id
             branch = [had_row[question(arc)] for arc in tree.paths[case.id][:oc.scanned]]
             if prune:  # a contradicted arc ends the walk below it
                 assert all(branch[:-1]), case.id
@@ -542,6 +544,54 @@ class TestScanTree:
         assert top.tests_used < full.tests_used < tree.arc_count()
         assert ((top.best_case, top.score, top.substitution)
                 == (full.best_case, full.score, full.substitution))
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_a_stop_after_the_first_walk_ends_still_answers(self, prune):
+        # the best-first walk runs deep before its first search; the first
+        # case whose walk ends with a positive bound is searched at once, so a
+        # stop inside any later test still answers that case, exactly
+        world = ct.generate_world(3, 22)
+        target = ct.elaborate(world, world.self_id, radius=120)
+        tree = ct.build_tree(random_base(7, 30, max_players=8), ct.FOOTBALL_PRIORITY)
+        oracle = ct.TargetOracle(target)
+        full = ct.scan_tree(tree, oracle, prune=prune)
+        cancel = threading.Event()
+
+        class StopInside(ct.TargetOracle):
+            """Sets the flag inside its ``k``-th test."""
+
+            def __init__(self, k):
+                super().__init__(target)
+                self.k, self.calls = k, 0
+
+            def completions(self, name, values, desired):
+                self.calls += 1
+                if self.calls == self.k:
+                    cancel.set()
+                return super().completions(name, values, desired)
+
+        def ended_with_rows(r):
+            for cid, oc in r.per_case.items():
+                branch = tree.paths[cid]
+                if oc.pruned or oc.scanned == len(branch):
+                    if any(oracle.completions(arc.node.predicate, arc.node.values, arc.test)
+                           for arc in branch[:oc.scanned]):
+                        return True
+            return False
+
+        first = None  # the test after which a walk with a positive bound has ended
+        total = ct.scan_tree(tree, oracle, prune=prune, cancel=cancel).tests_used
+        for k in range(1, total + 1):
+            cancel.clear()
+            r = ct.scan_tree(tree, StopInside(k), prune=prune, cancel=cancel)
+            assert r.tests_used == k
+            assert (r.best_case is not None) == (first is not None), k
+            if first is None and ended_with_rows(r):
+                first = k
+            for cid, oc in r.per_case.items():
+                if oc.evaluated:
+                    assert oc == full.per_case[cid], (k, cid)
+        assert first is not None and first < total - 1
 
     @pytest.mark.parametrize("stop", ["cancel", "deadline"])
     def test_interrupt_inside_an_arc_changes_no_case(self, monkeypatch, stop):
