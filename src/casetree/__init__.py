@@ -2,8 +2,9 @@
 
 A heterogeneous base of generic cases is compiled once into a tree whose
 branches share high-priority perception prefixes. Retrieval scans the tree
-breadth first under a hard interruption budget, so a best-so-far case with
-a principled partial score is available at any moment; a classic linear
+under a hard interruption budget, breadth first to rank every case or best
+first to answer the most similar one, so a best-so-far case with a
+principled partial score is available at any moment; a classic linear
 scan is included as the exactness baseline, plus a benchmark harness for
 recall/precision and memory experiments.
 """

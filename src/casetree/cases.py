@@ -77,6 +77,7 @@ class Value:
 
 
 ME = Value("me", "me")
+_AGENT_KINDS = ("generic", "concrete")  # the kinds a pattern's agent slot holds
 
 
 def generic(label: str) -> Value:
@@ -171,15 +172,21 @@ class TargetCase:
                 if v.kind == "generic":
                     raise CaseError(f"target from {self.origin or '?'}: generic agent ?{v.name}")
 
-    @property
-    def perception_set(self) -> frozenset[Perception]:
-        return frozenset(self.perceptions)
-
     @cached_property
-    def _by_test(self) -> dict[tuple[str, bool | str], list[Perception]]:
-        index: dict[tuple[str, bool | str], list[Perception]] = {}
+    def _index(self) -> dict[tuple, list[tuple[str, ...]]]:
+        """Each perception's agent ids, in argument order, keyed by its
+        predicate, choice and shape: per argument None for an agent slot, or
+        the (kind, name) of ``me`` or a constant."""
+        index: dict[tuple, list[tuple[str, ...]]] = {}
         for p in self.perceptions:
-            index.setdefault((p.name, p.choice), []).append(p)
+            shape, ids = [], []
+            for v in p.values:
+                if v.kind == "concrete":
+                    shape.append(None)
+                    ids.append(v.name)
+                else:
+                    shape.append((v.kind, v.name))
+            index.setdefault((p.name, p.choice, tuple(shape)), []).append(tuple(ids))
         return index
 
     def completions(self, name: str, values: tuple[Value, ...],
@@ -190,17 +197,33 @@ class TargetCase:
         sorted order of their labels, rows in sorted order. A way that binds one
         id to two labels extends no binding and is left out. A fully ground
         pattern yields ``[()]`` on success and ``[]`` on failure."""
-        labels = pattern_labels(values)
+        slots, shape = [], []
+        for v in values:
+            if v.kind in _AGENT_KINDS:
+                slots.append(v)
+                shape.append(None)
+            else:
+                shape.append((v.kind, v.name))
+        entries = self._index.get((name, desired, tuple(shape)))
+        if not entries:
+            return []
+        labels = pattern_labels(slots)
+        if len(labels) == len(slots):  # a distinct label in every slot
+            names = tuple(v.name for v in slots)
+            if labels != names:
+                where = [names.index(label) for label in labels]
+                entries = [tuple(ids[k] for k in where) for ids in entries]
+            if len(slots) > 1:
+                entries = [row for row in entries if len(set(row)) == len(row)]
+            return sorted(set(entries))
         out: set[tuple[str, ...]] = set()
-        for entry in self._by_test.get((name, desired), ()):
-            if len(entry.values) != len(values):
-                continue
+        for ids in entries:  # a concrete id or a repeated label in the pattern
             binding: dict[str, str] = {}
-            for pv, tv in zip(values, entry.values):
-                if pv.kind == "generic":
-                    if tv.kind != "concrete" or binding.setdefault(pv.name, tv.name) != tv.name:
+            for v, i in zip(slots, ids):
+                if v.kind == "generic":
+                    if binding.setdefault(v.name, i) != i:
                         break
-                elif pv != tv:
+                elif v.name != i:
                     break
             else:
                 row = tuple(map(binding.__getitem__, labels))
@@ -226,9 +249,6 @@ class Substitution:
             raise CaseError(f"substitution not injective: {self.pairs}")
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
     def __str__(self) -> str:
         return ";".join(f"{l}->{i}" for l, i in self.pairs)
 
@@ -253,7 +273,7 @@ def mask_weight(weights, mask: int) -> tuple[float, int]:
     return w, n
 
 
-def _search_bindings(weights, perceptions, objective, interrupted=None):
+def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-math.inf):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
     ``perceptions`` holds (index into ``weights``, generic labels in sorted
@@ -278,6 +298,10 @@ def _search_bindings(weights, perceptions, objective, interrupted=None):
     candidate under it; ``objective`` must not decrease in either argument.
     Returns (best_value, sorted (label, id) pairs, bitmask of the matched
     indices), or None as soon as ``interrupted()`` holds at a node.
+
+    A node is also cut when its bound cannot beat ``floor`` (branch and bound
+    with an outside incumbent): the result is the same whenever the optimum
+    beats ``floor``, and otherwise a best_value that does not.
     """
     labels = sorted({label for _, own, rows in perceptions if rows for label in own})
     rank = {label: r for r, label in enumerate(labels)}
@@ -302,6 +326,7 @@ def _search_bindings(weights, perceptions, objective, interrupted=None):
         return found
 
     best = value(matched), (), matched
+    cut = max(best[0], floor)  # a node whose bound is no higher is cut
     # nodes still to visit, the next one last: (rank of the next label to
     # decide, binding so far, bitmasks of the label ranks it binds and of those
     # its matched perceptions use, matched perceptions, undecided perceptions,
@@ -313,12 +338,13 @@ def _search_bindings(weights, perceptions, objective, interrupted=None):
         r, pairs, held, covered, matched, live, offer = stack.pop()
         if offer and covered == held and value(matched) > best[0]:
             best = value(matched), pairs, matched
+            cut = max(best[0], floor)
         bound, reach = matched, covered
         for bit, _, _, _, ranks in live:
             bound, reach = bound | bit, reach | ranks
         # cut, and also when a bound label is in no perception that matches or
         # still can: no candidate below is then a restricted substitution
-        if r == len(labels) or value(bound) <= best[0] or held & ~reach:
+        if r == len(labels) or value(bound) <= cut or held & ~reach:
             continue
         stack.append((r + 1, pairs, held, covered, matched,
                       [e for e in live if e[1][e[2]] != r], False))

@@ -36,8 +36,11 @@ first bound. Both sum their weights with ``cases.mask_weight``, as the
 search does, so no bound falls below the score it bounds and exact ties keep
 going to the lowest case id. One case goes ahead of its bound: the first
 whose walk ends with a positive bound is searched at once, so that a deadline
-too short for the walk still gets an answer. A case the scan never searched
-is reported unevaluated, with score 0.
+too short for the walk still gets an answer. Every later search is cut at the
+leader (branch and bound with an outside incumbent): a node is cut when it
+cannot beat the leader's score, or for a case of lower id than the leader's,
+when it cannot reach it. A case the scan never searched, or whose search
+showed it cannot win, is reported unevaluated, with score 0.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``, maximizing ``similarity.objective``. The linear
@@ -348,7 +351,8 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     every case's tested prefix, or the best one searched if the scan is
     stopped first. The first case whose walk ends with a positive bound is
     searched at once, so only a stop before that search ends answers no
-    case. Cases it never searched read ``evaluated=False``.
+    case. Each later search is cut at the leader. Cases it never searched,
+    and cases whose search showed they cannot win, read ``evaluated=False``.
     """
     if oracle.size < 1:
         raise ValueError("cannot scan against an empty target")
@@ -364,17 +368,20 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     tests_used = 0
     failure = None  # (message, exception) once the oracle fails
 
-    def search(cid: str) -> bool:
+    def search(cid: str, floor: float = -math.inf) -> bool:
+        """Search ``cid`` and keep its score if it beats ``floor``; false
+        once the scan is interrupted."""
         tested = record[cid][1]
         score, pairs = 0.0, ()  # the value of an empty prefix
         if tested:
             got = _search_bindings(
                 cases[cid].weights, [(order[cid][d], own, rows) for d, own, rows in tested],
-                objective(cases[cid], size, params), interrupted)
+                objective(cases[cid], size, params), interrupted, floor)
             if got is None:
                 return False
             score, pairs = got[:2]
-        found[cid] = score, Substitution(pairs) if pairs else NO_SUBSTITUTION
+        if score > floor:
+            found[cid] = score, Substitution(pairs) if pairs else NO_SUBSTITUTION
         return True
 
     # frontier entries: (-bound, 0, sequence number, arc, tested prefix) for an
@@ -436,9 +443,13 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         if negative > leader[0] or (arc is None and (negative, key) > leader):
             break  # no entry left can beat the leader
         if arc is None:
-            if not search(key):
+            # to win, a case must beat the leader's score, or reach it with a
+            # lower id; one that cannot is cut inside its search
+            score = -leader[0]
+            if not search(key, score if key > leader[1] else math.nextafter(score, -math.inf)):
                 break
-            leader = min(leader, (-found[key][0], key))
+            if key in found:
+                leader = -found[key][0], key
             continue
         if interrupted is not None and interrupted():
             break
@@ -491,7 +502,7 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
     reached, or interrupted mid-search by the deadline or cancellation.
     """
     per_case = {
-        c.id: CaseOutcome(0.0, 0, False, False, Substitution()) for c in base
+        c.id: CaseOutcome(0.0, 0, False, False, NO_SUBSTITUTION) for c in base
     }
     if len(per_case) != len(base):
         raise TreeError("duplicate case id in base")

@@ -166,8 +166,8 @@ def elaborate(world: WorldSnapshot, self_id: str,
     perceived.sort(key=lambda p: (p.pid != self_id, p.pid))  # observer first, then by id
     ball_seen = _distance(world.ball, (me.x, me.y)) <= radius
 
-    def ref(p: Player):
-        return ME if p.pid == self_id else concrete(p.pid)
+    # one argument value per perceived player, shared by its perceptions
+    refs = {p.pid: ME if p.pid == self_id else concrete(p.pid) for p in perceived}
 
     ball_const = const("ball", "Ball")
     facing_me = _facing(me, world.ball)
@@ -183,20 +183,19 @@ def elaborate(world: WorldSnapshot, self_id: str,
                 kept.append(p)
 
     for p in perceived:
-        emit("hasBall", [ref(p)], p.has_ball)
-        emit("isMarked", [ref(p)], p.marked_by is not None)
-        emit("callForBall", [ref(p)], p.call_for_ball)
-        emit("callForSupport", [ref(p)], p.call_for_support)
-        emit("partner", [ref(p)], p.team == me.team)
+        emit("hasBall", [refs[p.pid]], p.has_ball)
+        emit("isMarked", [refs[p.pid]], p.marked_by is not None)
+        emit("callForBall", [refs[p.pid]], p.call_for_ball)
+        emit("callForSupport", [refs[p.pid]], p.call_for_support)
+        emit("partner", [refs[p.pid]], p.team == me.team)
         if _attacks_positive_x(p.team):
             in_attack = p.x > world.field_length / 2
         else:
             in_attack = p.x < world.field_length / 2
-        emit("isInAttack", [ref(p)], in_attack)
-    perceived_ids = {p.pid for p in perceived}
+        emit("isInAttack", [refs[p.pid]], in_attack)
     for p in perceived:
-        if p.marked_by is not None and p.marked_by in perceived_ids:
-            emit("markedBy", [ref(p), ref(world.player(p.marked_by))], True)
+        if p.marked_by is not None and p.marked_by in refs:
+            emit("markedBy", [refs[p.pid], refs[p.marked_by]], True)
 
     others = [p for p in perceived if p.pid != self_id]
     if ball_seen:
@@ -204,15 +203,15 @@ def elaborate(world: WorldSnapshot, self_id: str,
         emit("relativePosition", [ME, ball_const],
              _quadrant(facing_me, (world.ball[0] - me.x, world.ball[1] - me.y)))
     for p in others:
-        emit("distance", [ME, ref(p)], quantize_distance(_distance((me.x, me.y), (p.x, p.y))))
-        emit("relativePosition", [ME, ref(p)],
+        emit("distance", [ME, refs[p.pid]], quantize_distance(_distance((me.x, me.y), (p.x, p.y))))
+        emit("relativePosition", [ME, refs[p.pid]],
              _quadrant(facing_me, (p.x - me.x, p.y - me.y)))
     if ball_seen:
         for p in others:
-            emit("distance", [ball_const, ref(p)],
+            emit("distance", [ball_const, refs[p.pid]],
                  quantize_distance(_distance(world.ball, (p.x, p.y))))
     for p in others:
-        emit("orientation", [ref(p)], _quadrant(facing_me, _facing(p, world.ball)))
+        emit("orientation", [refs[p.pid]], _quadrant(facing_me, _facing(p, world.ball)))
 
     half = me.x < world.field_length / 2
     mates = sum(1 for p in world.players

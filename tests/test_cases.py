@@ -186,7 +186,7 @@ class TestParseCase:
 class TestUnify:
     def test_full_match(self, case1, exact_case1_target):
         sub, matched = ct.unify(case1, exact_case1_target)
-        assert sub.as_dict() == {"A": "Agent.1"}
+        assert dict(sub.pairs) == {"A": "Agent.1"}
         assert matched == {0, 1, 2}
 
     def test_empty_target(self, case1):
@@ -203,7 +203,7 @@ class TestUnify:
             P("distance", [ct.const("ball", "Ball"), ct.concrete("Agent.2")], "long"),
         )
         sub, matched = ct.unify(case1, t)
-        assert sub.as_dict() == {"A": "Agent.2"}
+        assert dict(sub.pairs) == {"A": "Agent.2"}
         assert len(matched) == 3
 
     def test_substitution_is_injective(self):
@@ -215,7 +215,7 @@ class TestUnify:
         sub, matched = ct.unify(case, t)
         # only one of A, B can take Agent.1
         assert len(matched) == 1
-        assert len(sub.as_dict()) == 1
+        assert len(dict(sub.pairs)) == 1
 
     def test_completion_binding_one_id_twice_is_not_a_match(self):
         case = ct.GenericCase("c", (P("marks", [ct.generic("A"), ct.generic("B")], True),), (1.0,))
@@ -238,7 +238,7 @@ class TestUnify:
             P("partner", [ct.concrete("Agent.2")], True),
         )
         sub, _ = ct.unify(case, t)
-        assert sub.as_dict() == {"A": "Agent.1"}
+        assert dict(sub.pairs) == {"A": "Agent.1"}
 
     def test_matched_weight_equals_brute_force(self):
         rng = random.Random(5)
@@ -255,8 +255,8 @@ class TestUnify:
 
     def test_matched_image_lies_in_target(self, case1, exact_case1_target):
         sub, matched = ct.unify(case1, exact_case1_target)
-        binding = sub.as_dict()
-        tset = exact_case1_target.perception_set
+        binding = dict(sub.pairs)
+        tset = set(exact_case1_target.perceptions)
         for i in matched:
             values = tuple(
                 ct.concrete(binding[v.name]) if v.kind == "generic" else v
@@ -470,9 +470,9 @@ class TestLargeTargets:
     def test_result_is_a_valid_matching(self, case1):
         t = self.target_with(8)
         sub, matched = ct.unify(case1, t)
-        binding = sub.as_dict()
+        binding = dict(sub.pairs)
         assert len(set(binding.values())) == len(binding)
-        tset = t.perception_set
+        tset = set(t.perceptions)
         for i in matched:
             p = case1.perceptions[i]
             values = tuple(
@@ -490,7 +490,7 @@ class TestLargeTargets:
         for n_partners in (4, 5, 8, 21):
             sub, matched = ct.unify(case1, self.target_with(n_partners))
             assert matched == frozenset({0, 1, 2})
-            assert sub.as_dict() == {"A": f"Agent.{n_partners}"}
+            assert dict(sub.pairs) == {"A": f"Agent.{n_partners}"}
 
     def test_joint_binding_beats_label_by_label(self):
         # every partner matches partner(?A) alike, but only Agent.7 leaves
@@ -501,7 +501,8 @@ class TestLargeTargets:
                                     P("marks", [ct.generic("A"), ct.generic("B")], True)),
                               (1.0, 1.0))
         sub, matched = ct.unify(case, t)
-        assert (sub.as_dict(), matched) == ({"A": "Agent.7", "B": "Agent.3"}, frozenset({0, 1}))
+        assert (dict(sub.pairs), matched) == ({"A": "Agent.7", "B": "Agent.3"},
+                                              frozenset({0, 1}))
 
     @given(st.integers(0, 10_000), st.sampled_from(range(8, 23, 2)), st.booleans(),
            st.sampled_from((0.0, 0.5)))

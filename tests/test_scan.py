@@ -5,9 +5,10 @@ import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import casetree as ct
 from casetree.cases import mask_weight
@@ -25,6 +26,42 @@ def three_tree(three_case_base):
 def tree_and_oracle(three_case_base, target):
     cases, priority = three_case_base
     return ct.build_tree(cases, priority), ct.TargetOracle(target)
+
+
+def reference_completions(target, name, values, desired):
+    """``TargetCase.completions`` as a matcher that tries every perception of
+    the target against the pattern, argument by argument."""
+    labels = ct.cases.pattern_labels(values)
+    out = set()
+    for entry in target.perceptions:
+        if (entry.name, entry.choice) != (name, desired) or len(entry.values) != len(values):
+            continue
+        binding = {}
+        for pv, tv in zip(values, entry.values):
+            if pv.kind == "generic":
+                if tv.kind != "concrete" or binding.setdefault(pv.name, tv.name) != tv.name:
+                    break
+            elif pv != tv:
+                break
+        else:
+            row = tuple(map(binding.__getitem__, labels))
+            if len(set(row)) == len(row):
+                out.add(row)
+    return sorted(out)
+
+
+# a small vocabulary, so that patterns often hit and perceptions often share
+# a shape: "Agent.10" sorts before "Agent.2", labels are drawn out of sorted
+# order and may repeat, and "r" never occurs in a target
+_IDS = ("Agent.2", "Agent.10")
+_CHOICES = (True, False)
+_target_values = st.one_of(st.sampled_from(_IDS).map(ct.concrete),
+                           st.sampled_from((ct.ME, ct.const("ball", "Ball"))))
+_perceptions = st.builds(ct.Perception, st.sampled_from("pq"),
+                         st.lists(_target_values, max_size=3).map(tuple),
+                         st.sampled_from(_CHOICES))
+_labels = st.sampled_from("BCA")
+P, A2, A10 = ct.Perception, ct.concrete("Agent.2"), ct.concrete("Agent.10")
 
 
 class TestTargetOracle:
@@ -73,7 +110,7 @@ class TestTargetOracle:
                 for radius in (30.0, 120.0):
                     target = ct.elaborate(world, world.self_id, radius, football_ctx)
                     oracle = ct.TargetOracle(target)
-                    held = target.perception_set
+                    held = set(target.perceptions)
                     patterns = {(p.name, tuple(ct.generic(f"L{k}") if v.kind == "concrete"
                                                else v for k, v in enumerate(p.values)))
                                 for p in target.perceptions}
@@ -90,6 +127,32 @@ class TestTargetOracle:
                                     expected.append(ids)
                             got = oracle.completions(name, pattern, choice)
                             assert got == sorted(expected), (world.wid, radius, name, choice)
+
+    @given(st.lists(_perceptions, max_size=40), st.sampled_from("pqr"),
+           st.lists(st.one_of(_target_values, _labels.map(ct.generic)), max_size=3),
+           st.sampled_from(_CHOICES), st.one_of(st.none(), st.integers(0, 39)),
+           st.lists(st.one_of(st.none(), _labels), min_size=3, max_size=3))
+    @example([P("p", (A2, A2), True), P("p", (A2, A10), True)],
+             "q", [], False, 1, ["B", "A", None])  # a permutation; an id twice
+    @example([P("p", (A2, A10), True), P("p", (A10, A2), True)],
+             "q", [], False, 0, [None, "A", None])  # a concrete id in the pattern
+    @example([P("p", (A2, A2, A2), True), P("p", (A10, A10, A2), True)],
+             "q", [], False, 1, ["A", "A", "B"])  # a label twice, one id for two
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_perception_matcher(self, perceptions, name, values, desired,
+                                               held, labels):
+        # the same rows in the same order as trying every perception. When
+        # ``held`` names a perception, the pattern generalizes it instead,
+        # each label standing in for the id in its slot, so that it hits
+        target = ct.TargetCase(tuple(perceptions))
+        if perceptions and held is not None:
+            p = perceptions[held % len(perceptions)]
+            name, desired = p.name, p.choice
+            values = [v if label is None or v.kind != "concrete" else ct.generic(label)
+                      for v, label in zip(p.values, labels)]
+        values = tuple(values)
+        assert (ct.TargetOracle(target).completions(name, values, desired)
+                == reference_completions(target, name, values, desired))
 
     def test_consistent_with_elaborate(self):
         """Every held perception's ground pattern holds, and with its Boolean
@@ -176,7 +239,7 @@ class TestScanTree:
         assert exact.per_case["case3"].score == pytest.approx(
             2 / 3 * (1 - 0.5 * 1 / 3)
         )
-        assert exact.per_case["case3"].substitution.as_dict() == {
+        assert dict(exact.per_case["case3"].substitution.pairs) == {
             "A": "Agent.1", "B": "Agent.2",
         }
 
@@ -286,7 +349,8 @@ class TestScanTree:
         # a case's score depends only on its tested prefix, so it is searched
         # at most once, after its walk ends: with no deadline or cancel flag
         # every case whose prefix has a row is searched; with a cancel flag,
-        # only the first case whose walk ends and those the top-1 answer needs
+        # only the first case whose walk ends and those the top-1 answer needs,
+        # each cut at the leader's score
         if which == "three":
             cases, priority = three_case_base
             target = exact_case1_target
@@ -296,18 +360,33 @@ class TestScanTree:
             target = ct.elaborate(world, world.self_id, radius=120)
         tree = ct.build_tree(cases, priority)
         oracle = ct.TargetOracle(target)
-        searched = []
+        case_of = {id(case.weights): case.id for case in cases}
+        assert len(case_of) == len(cases)
+        searched = {}  # per case, the arguments of each of its searches
         search = ct.retrieval._search_bindings
 
-        def counting(*args):
-            searched.append(args)
-            return search(*args)
+        def counting(weights, *args):
+            searched.setdefault(case_of[id(weights)], []).append((weights,) + args)
+            return search(weights, *args)
 
         monkeypatch.setattr(ct.retrieval, "_search_bindings", counting)
 
         def scan(budget=ct.UNBOUNDED, cancel=None):
             searched.clear()
-            return ct.scan_tree(tree, oracle, budget, prune=False, cancel=cancel), len(searched)
+            r = ct.scan_tree(tree, oracle, budget, prune=False, cancel=cancel)
+            assert all(len(made) == 1 for made in searched.values()), searched
+            return r, set(searched)
+
+        def lost(r):
+            """The searched cases left unevaluated, each checked to have an
+            exact score, searched again with no floor, that cannot beat the
+            answer."""
+            out = {cid for cid in searched if not r.per_case[cid].evaluated}
+            for cid in out:
+                weights, perceptions, scoring = searched[cid][0][:3]
+                assert (-search(weights, perceptions, scoring)[0], cid) > (
+                    -r.score, r.best_case), cid
+            return out
 
         def injective(rows):
             return any(len(set(row)) == len(row) for row in rows)
@@ -316,26 +395,31 @@ class TestScanTree:
                             if injective(oracle.completions(node.predicate, node.values,
                                                             arc.test))]
         with_rows = set().union(*(arc.below for arc in not_contradicted))
-        full, searches = scan()
-        assert searches == len(with_rows)
-        assert searches <= len(cases)
-        top, searches = scan(cancel=threading.Event())
+        full, cids = scan()
+        assert cids == with_rows
+        assert not lost(full)
+        top, cids = scan(cancel=threading.Event())
         evaluated = {cid for cid, oc in top.per_case.items() if oc.evaluated}
-        assert searches == len(evaluated & with_rows)
-        assert 0 < searches < len(with_rows)
+        assert evaluated & with_rows == cids - lost(top)
+        assert 0 < len(cids) < len(with_rows)
+        assert all(full.per_case[cid].score < top.score or cid > top.best_case
+                   for cid in lost(top))
         assert ((top.best_case, top.score, top.substitution)
                 == (full.best_case, full.score, full.substitution))
         assert all(top.per_case[cid] == full.per_case[cid] for cid in evaluated)
         budget = ct.ScanBudget.comparisons(tree.arc_count() // 2)
-        cut, searches = scan(budget)
-        assert 0 < searches <= len(cases)
+        cut, cids = scan(budget)
+        assert 0 < len(cids) <= len(cases)
+        assert not lost(cut)
         assert cut.tests_used == budget.max_comparisons
-        top_cut, searches = scan(budget, threading.Event())
+        top_cut, cids = scan(budget, threading.Event())
         assert top_cut.tests_used <= budget.max_comparisons
-        # the searched cases are the evaluated ones whose tested prefix has a row
+        # the searched cases are the evaluated ones whose tested prefix has a
+        # row, and those that lost to the answer
         rows = set(not_contradicted)
-        assert searches == sum(1 for cid, oc in top_cut.per_case.items() if oc.evaluated
-                               and any(arc in rows for arc in tree.paths[cid][:oc.scanned]))
+        assert cids - lost(top_cut) == {
+            cid for cid, oc in top_cut.per_case.items() if oc.evaluated
+            and any(arc in rows for arc in tree.paths[cid][:oc.scanned])}
 
     def test_concurrent_scans_share_one_tree(self, three_case_base):
         cases, priority = three_case_base
@@ -445,6 +529,7 @@ class TestScanTree:
                             queue.extend(arc.children)
             assert order == [q for q, _ in calls]
         prefix = {}  # per case, its best over its tested prefix, as brute force finds it
+        held = set(target.perceptions)
         for case in base:
             oc = r.per_case[case.id]
             # every arc of its branch that was tested counts, for each case
@@ -462,9 +547,9 @@ class TestScanTree:
                 continue
             assert oc.score == pytest.approx(want_score, abs=1e-12), case.id
             assert oc.substitution == want_sub, case.id
-            binding = oc.substitution.as_dict()
+            binding = dict(oc.substitution.pairs)
             matched = tuple(i for i in sorted(allowed)
-                            if substitute(case.perceptions[i], binding) in target.perception_set)
+                            if substitute(case.perceptions[i], binding) in held)
             assert matched == want_matched, case.id
         if base:
             # top-1 or not, the answer is the best over the tested prefixes, and
@@ -480,8 +565,10 @@ class TestScanTree:
     @settings(max_examples=20, deadline=None)
     def test_never_set_flag_answers_the_unbounded_top1(self, seed, players, zero, prune, alpha):
         # a top-1 scan that nothing stops returns the ranking's best case,
-        # score and substitution; it searched a case only to its final score,
-        # and left unsearched only cases whose bound cannot beat its answer
+        # score and substitution. It searched each case at most once, and
+        # left unevaluated only cases it never searched, whose bound cannot
+        # beat its answer, and cases searched once whose exact score cannot
+        # beat it either: their searches were cut at the leader
         base = random_base(seed % 50, 10, max_players=8, max_perceptions=6)
         if zero:
             base = [zero_odd_weights(c) for c in base]
@@ -490,9 +577,21 @@ class TestScanTree:
         tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
         oracle, params = ct.TargetOracle(target), ct.SimilarityParams(alpha)
         full = ct.scan_tree(tree, oracle, params=params, prune=prune)
-        top = ct.scan_tree(tree, oracle, params=params, prune=prune, cancel=threading.Event())
+        case_of = {id(case.weights): case.id for case in base}
+        assert len(case_of) == len(base)
+        searches = Counter()
+        search = ct.retrieval._search_bindings
+
+        def counting(weights, *args):
+            searches[case_of[id(weights)]] += 1
+            return search(weights, *args)
+
+        with mock.patch.object(ct.retrieval, "_search_bindings", counting):
+            top = ct.scan_tree(tree, oracle, params=params, prune=prune,
+                               cancel=threading.Event())
         assert ((top.best_case, top.score, top.substitution)
                 == (full.best_case, full.score, full.substitution))
+        assert max(searches.values(), default=0) <= 1
         leader = (-top.score, top.best_case)
         for case in base:
             oc = top.per_case[case.id]
@@ -500,6 +599,9 @@ class TestScanTree:
                 assert oc == full.per_case[case.id], case.id
                 continue
             assert (oc.score, oc.substitution) == (0.0, ct.Substitution()), case.id
+            if searches[case.id]:  # its walk ended, so the ranking scored its prefix
+                assert (-full.per_case[case.id].score, case.id) > leader, case.id
+                continue
             # its bound: the tested positions that had rows, and the untested
             # ones unless a contradiction ended its walk
             order, branch = tree.order[case.id], tree.paths[case.id]
@@ -531,6 +633,34 @@ class TestScanTree:
             top = ct.scan_tree(tree, oracle, prune=prune, cancel=threading.Event())
             assert full.per_case["a"].score == full.per_case["b"].score == 1.0
             assert (top.best_case, top.score) == (full.best_case, full.score) == ("a", 1.0)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_a_lower_id_searched_after_the_leader_wins_a_tie(self, monkeypatch, prune):
+        # "b" ends its walk first and leads; "a" reaches the same score later
+        # and must still win, so its search is cut only below the leader's
+        # score, where a higher id's is cut at it
+        b = ct.GenericCase("b", (ct.Perception("x", (ct.generic("A"),), True),), (2.0,))
+        a = ct.GenericCase("a", (ct.Perception("y", (ct.generic("A"),), True),), (1.0,))
+        tree = ct.build_tree([b, a], ("x", "y"))
+        oracle = ct.TargetOracle(ct.TargetCase((
+            ct.Perception("x", (ct.concrete("Agent.1"),), True),
+            ct.Perception("y", (ct.concrete("Agent.2"),), True))))
+        full = ct.scan_tree(tree, oracle, prune=prune)
+        assert full.per_case["a"].score == full.per_case["b"].score > 0
+        searched = []
+        search = ct.retrieval._search_bindings
+
+        def recording(weights, *args):
+            searched.append("a" if weights is a.weights else "b")
+            return search(weights, *args)
+
+        monkeypatch.setattr(ct.retrieval, "_search_bindings", recording)
+        top = ct.scan_tree(tree, oracle, prune=prune, cancel=threading.Event())
+        assert searched == ["b", "a"]
+        assert ((top.best_case, top.score, top.substitution)
+                == (full.best_case, full.score, full.substitution))
+        assert top.best_case == "a"
+        assert top.per_case == full.per_case
 
     def test_top1_tests_fewer_arcs_than_the_tree_holds(self):
         # on a 22-player whole-pitch target the bound cuts arcs that pruning

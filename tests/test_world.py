@@ -30,13 +30,13 @@ class TestElaborate:
         target = ct.elaborate(world, "Agent.1")
         assert ct.Perception(
             "distance", (ct.ME, ct.const("ball", "Ball")), "close"
-        ) in target.perception_set
-        assert ct.Perception("hasBall", (ct.ME,), False) in target.perception_set
+        ) in set(target.perceptions)
+        assert ct.Perception("hasBall", (ct.ME,), False) in set(target.perceptions)
 
     def test_possession_flag(self):
         world = compact_world()
         target = ct.elaborate(world, "Agent.4")
-        assert ct.Perception("hasBall", (ct.ME,), True) in target.perception_set
+        assert ct.Perception("hasBall", (ct.ME,), True) in set(target.perceptions)
 
     def test_radius_zero_keeps_only_self_perceptions(self):
         world = compact_world()
@@ -57,7 +57,7 @@ class TestElaborate:
         target = ct.elaborate(world, "Agent.1", ctx=small_ctx)
         names = {p.name for p in target.perceptions}
         assert names <= {"hasball", "partner", "distance"}
-        assert ct.Perception("hasball", (ct.ME,), False) in target.perception_set
+        assert ct.Perception("hasball", (ct.ME,), False) in set(target.perceptions)
         # the restricted distance schema is (PhysicalObject, Agent):
         # ball-to-player forms survive, player-to-ball forms do not
         for p in target.perceptions:
