@@ -47,7 +47,8 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable
 from xml.sax.saxutils import escape
 
@@ -152,7 +153,10 @@ class GenericCase:
 
     @property
     def total_weight(self) -> float:
-        return sum(self.weights)
+        # left to right from 0.0, as ``mask_weight`` sums every index, so a
+        # full match's weight factor is exactly 1.0 (``similarity.ceiling``);
+        # ``sum`` compensates float rounding from Python 3.12 on
+        return reduce(add, self.weights, 0.0)
 
     @property
     def generic_labels(self) -> tuple[str, ...]:
@@ -161,7 +165,15 @@ class GenericCase:
 
 @dataclass(frozen=True)
 class TargetCase:
-    """The current situation: perceptions over ``me`` and concrete agents only."""
+    """The current situation: perceptions over ``me`` and concrete agents only.
+
+    ``completions`` answers from an index of every perception, built whole
+    at the first lookup and never changed after, so concurrent scans may
+    share a target. Scans ask for most of it (a top-1 scan of a 22-player
+    target, for 85% of its perceptions), so building it one (predicate,
+    choice) at a time would cost more, in the pass that groups the
+    perceptions, than it saves.
+    """
 
     perceptions: tuple[Perception, ...]
     origin: str = ""
@@ -283,12 +295,16 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
     A bounded depth-first search decides the generic labels in sorted order.
     A node first offers its binding as a candidate, unless its parent already
     did, then binds the next label to each id it can still take, in ascending
-    order, and last leaves the label unbound. Candidates therefore come in the
-    lexicographic order of their (label, id) pairs, so a node is cut as soon
-    as its bound cannot beat the incumbent, and the least binding among the
-    optima wins. A candidate counts only when each label it binds occurs in a
-    perception it matches: it is then the restricted substitution, matching
-    every perception it can.
+    order, and last leaves the label unbound. At the last label the leaves
+    are offered inside their parent, in ascending id order, from one pass over
+    its rows, and neither they nor the unbound child, which would offer
+    nothing, become nodes; nor does anything below a node with no perception
+    left that can match. Candidates therefore come in the lexicographic order
+    of their (label, id) pairs, so a node is cut as soon as its bound cannot
+    beat the incumbent, and the least binding among the optima wins. A
+    candidate counts only when each label it binds occurs in a perception it
+    matches: it is then the restricted substitution, matching every perception
+    it can.
 
     Each undecided perception keeps as its domain the rows that agree with
     the labels decided so far and give no other label a bound id (forward
@@ -297,7 +313,9 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
     candidates and bounds alike, so rounding cannot put a bound below a
     candidate under it; ``objective`` must not decrease in either argument.
     Returns (best_value, sorted (label, id) pairs, bitmask of the matched
-    indices), or None as soon as ``interrupted()`` holds at a node.
+    indices), or None as soon as ``interrupted()`` holds at a node; it is
+    asked once per node, so the work of one node, its leaves' offers
+    included, still bounds how far a search overruns a stop.
 
     A node is also cut when its bound cannot beat ``floor`` (branch and bound
     with an outside incumbent): the result is the same whenever the optimum
@@ -327,6 +345,7 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
 
     best = value(matched), (), matched
     cut = max(best[0], floor)  # a node whose bound is no higher is cut
+    last = len(labels) - 1
     # nodes still to visit, the next one last: (rank of the next label to
     # decide, binding so far, bitmasks of the label ranks it binds and of those
     # its matched perceptions use, matched perceptions, undecided perceptions,
@@ -339,12 +358,30 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
         if offer and covered == held and value(matched) > best[0]:
             best = value(matched), pairs, matched
             cut = max(best[0], floor)
+        if not live:  # no candidate below matches more
+            continue
         bound, reach = matched, covered
         for bit, _, _, _, ranks in live:
             bound, reach = bound | bit, reach | ranks
         # cut, and also when a bound label is in no perception that matches or
         # still can: no candidate below is then a restricted substitution
-        if r == len(labels) or value(bound) <= cut or held & ~reach:
+        if value(bound) <= cut or held & ~reach:
+            continue
+        if r == last:
+            # every undecided perception waits on this label alone: offer each
+            # id's leaf here, in ascending order, as popping them would
+            leaves: dict[str, tuple[int, int]] = {}  # id -> (matched, covered) it adds
+            for bit, _, k, domain, ranks in live:
+                for row in domain:
+                    bits, used = leaves.get(row[k], (0, 0))
+                    leaves[row[k]] = bits | bit, used | ranks
+            held |= 1 << r
+            for cid in sorted(leaves):
+                bits, used = leaves[cid]
+                now_matched = matched | bits
+                if covered | used == held and value(now_matched) > best[0]:
+                    best = value(now_matched), pairs + ((labels[r], cid),), now_matched
+                    cut = max(best[0], floor)
             continue
         stack.append((r + 1, pairs, held, covered, matched,
                       [e for e in live if e[1][e[2]] != r], False))

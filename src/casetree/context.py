@@ -160,6 +160,21 @@ class Context:
     domains: dict[str, ValueSort] = field(default_factory=dict)
 
 
+def validate_arguments(schema: PredicateSchema, values) -> str | None:
+    """Check a perception's arguments against its predicate's schema: None
+    when their count and sorts conform, else the failure as
+    ``"<kind>: <message>"``, kind being arity | sort. An agent's argument,
+    ``me``, generic or concrete, has the sort Agent."""
+    if len(values) != schema.arity:
+        return f"arity: {schema.name} expects {schema.arity} argument(s), got {len(values)}"
+    for value, (var, sort_name) in zip(values, schema.params):
+        value_sort = "Agent" if value.kind in ("me", "generic", "concrete") else value.sort
+        if value_sort is None or not conforms(value_sort, sort_name):
+            return (f"sort: {schema.name}.{var} expects sort {sort_name}, "
+                    f"got {value_sort or 'untyped'} ({value})")
+    return None
+
+
 def validate_perception(p: "Perception", ctx: Context) -> str | None:
     """Check one perception against the context: None when it conforms, else
     the failure as ``"<kind>: <message>"``, kind being one of
@@ -167,13 +182,9 @@ def validate_perception(p: "Perception", ctx: Context) -> str | None:
     schema = ctx.predicates.get(p.name)
     if schema is None:
         return f"unknown-predicate: predicate {p.name!r} is not declared"
-    if len(p.values) != schema.arity:
-        return f"arity: {p.name} expects {schema.arity} argument(s), got {len(p.values)}"
-    for value, (var, sort_name) in zip(p.values, schema.params):
-        value_sort = "Agent" if value.kind in ("me", "generic", "concrete") else value.sort
-        if value_sort is None or not conforms(value_sort, sort_name):
-            return (f"sort: {p.name}.{var} expects sort {sort_name}, "
-                    f"got {value_sort or 'untyped'} ({value})")
+    violation = validate_arguments(schema, p.values)
+    if violation is not None:
+        return violation
     if not schema.choice.accepts(p.choice):
         expected = "Boolean" if schema.choice.kind == "boolean" else (
             "{" + ", ".join(schema.choice.labels) + "}"

@@ -29,18 +29,22 @@ every case. When a deadline or cancel flag can stop it, it answers top-1:
 its frontier is a heap of arcs to test and cases to search, highest bound
 first, and it stops as soon as no entry left can beat the leader, the best
 case searched so far (the threshold stop of Fagin, Lotem & Naor, PODS 2001,
-over a best-first walk, as in Hansen & Zhou, JAIR 2007). A case still
-walking is bounded by the objective of all its positions and a case to
-search by that of its prefix's positions that have rows, the search's own
-first bound. Both sum their weights with ``cases.mask_weight``, as the
-search does, so no bound falls below the score it bounds and exact ties keep
-going to the lowest case id. One case goes ahead of its bound: the first
-whose walk ends with a positive bound is searched at once, so that a deadline
-too short for the walk still gets an answer. Every later search is cut at the
-leader (branch and bound with an outside incumbent): a node is cut when it
-cannot beat the leader's score, or for a case of lower id than the leader's,
-when it cannot reach it. A case the scan never searched, or whose search
-showed it cannot win, is reported unevaluated, with score 0.
+over a best-first walk, as in Hansen & Zhou, JAIR 2007). An arc is bounded
+by ``similarity.ceiling`` for the most perceptions a case below it has: a
+case that matches all its perceptions scores exactly its coverage term,
+whatever its weights, so no case is scored before its walk ends. A case to
+search is bounded by the objective of its prefix's positions that have rows,
+the search's own first bound, its weights summed with ``cases.mask_weight``
+as the search sums them. So no bound falls below the score it bounds and
+exact ties keep going to the lowest case id. One case goes ahead of its
+bound: the first whose walk ends with a positive bound is searched at once,
+so that a deadline too short for the walk still gets an answer. Every later
+search is cut at the leader (branch and bound with an outside incumbent): a
+node is cut when it cannot beat the leader's score, or for a case of lower
+id than the leader's, when it cannot reach it. A case the scan never
+searched, or whose search showed it cannot win, is reported unevaluated,
+with score 0; such cases share one ``CaseOutcome`` per (scanned, pruned)
+pair.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``, maximizing ``similarity.objective``. The linear
@@ -73,7 +77,7 @@ from typing import Iterable, Sequence
 
 from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings,
                     mask_weight, pattern_labels)
-from .similarity import DEFAULT_PARAMS, SimilarityParams, objective, scored_unify
+from .similarity import DEFAULT_PARAMS, SimilarityParams, ceiling, objective, scored_unify
 
 
 class TreeError(ValueError):
@@ -406,18 +410,19 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         frontier = []
         pop, sequence = partial(heappop, frontier), itertools.count()
 
-        def value(cid: str, mask: int) -> float:
-            case = cases[cid]
-            return objective(case, size, params)(*mask_weight(case.weights, mask))
-
-        whole = {cid: value(cid, (1 << len(case.weights)) - 1) for cid, case in cases.items()}
+        ceilings: dict[int, float] = {}  # per perception count, its ceiling
 
         def walk(nodes, tested) -> None:
             for node in nodes:
                 for arc in node.arcs:
                     # every case still walking matched every arc tested so
-                    # far; with pruning off this bound is looser, still safe
-                    bound = max(whole[cid] for cid in arc.below)
+                    # far, and none scores above a full match, whose score
+                    # depends on its perception count alone; with pruning off
+                    # this bound is looser, still safe
+                    n = max(len(order[cid]) for cid in arc.below)
+                    bound = ceilings.get(n)
+                    if bound is None:
+                        bound = ceilings[n] = ceiling(n, size, params)
                     heappush(frontier, (-bound, 0, next(sequence), arc, tested))
 
         leaderless = True  # no case has been queued to lead yet
@@ -430,8 +435,9 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             nonlocal leaderless
             for cid in below:
                 if depth is None or len(paths[cid]) == depth:
+                    case = cases[cid]
                     mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
-                    bound = value(cid, mask)
+                    bound = objective(case, size, params)(*mask_weight(case.weights, mask))
                     if leaderless and bound > 0:
                         leaderless, bound = False, math.inf
                     heappush(frontier, (-bound, 1, cid, None, None))
@@ -478,11 +484,19 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         for cid in cases:
             search(cid)
     per_case = {}
+    unevaluated: dict[tuple[int, bool], CaseOutcome] = {}  # shared, per (scanned, pruned)
     for cid, (count, tested) in record.items():
-        score, substitution = found.get(cid, (0.0, NO_SUBSTITUTION))
         # with pruning, only the last tested arc of a branch can contradict
-        per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count,
-                                    cid in found, substitution)
+        pruned = prune and len(tested) < count
+        if cid in found:
+            score, substitution = found[cid]
+            per_case[cid] = CaseOutcome(score, count, pruned, True, substitution)
+            continue
+        outcome = unevaluated.get((count, pruned))
+        if outcome is None:
+            outcome = unevaluated[count, pruned] = CaseOutcome(0.0, count, pruned, False,
+                                                                NO_SUBSTITUTION)
+        per_case[cid] = outcome
     result = _result(per_case, tests_used, start)
     if failure is not None:  # surface with the result attached
         raise RetrievalError(failure[0], partial=result) from failure[1]
@@ -501,9 +515,8 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
     either fully evaluated or left unevaluated, ranking as score 0: not
     reached, or interrupted mid-search by the deadline or cancellation.
     """
-    per_case = {
-        c.id: CaseOutcome(0.0, 0, False, False, NO_SUBSTITUTION) for c in base
-    }
+    unreached = CaseOutcome(0.0, 0, False, False, NO_SUBSTITUTION)  # shared
+    per_case = dict.fromkeys((c.id for c in base), unreached)
     if len(per_case) != len(base):
         raise TreeError("duplicate case id in base")
     if oracle.size < 1:

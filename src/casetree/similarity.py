@@ -54,6 +54,15 @@ def objective(case: GenericCase, target_size: int, params: SimilarityParams):
     return lambda w, n: partial_score(w, n, total, target_size, alpha)
 
 
+def ceiling(perceptions: int, target_size: int, params: SimilarityParams) -> float:
+    """The highest score a case of ``perceptions`` perceptions can reach
+    against a target of ``target_size``: its ``objective`` when it matches
+    every perception. Its matched weight is then its total weight, summed in
+    the same order, so the weight factor is exactly 1.0 and the value does
+    not depend on the weights."""
+    return partial_score(1.0, perceptions, 1.0, target_size, params.alpha)
+
+
 def scored_unify(source: GenericCase, target: TargetCase,
                  params: SimilarityParams = DEFAULT_PARAMS, interrupted=None
                  ) -> tuple[float, Substitution, frozenset[int]] | None:

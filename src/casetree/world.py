@@ -2,12 +2,13 @@
 
 This is the "context box" feeding retrieval: it turns raw state (positions,
 possession, marking) into semantic perceptions, and ``TargetOracle``
-answers predicate queries over them. Elaboration is one pass: each
-perception is built once, under the context's own spelling of its predicate
-name, and kept when it conforms to the context. Nothing moves here; a
-snapshot is one instant, and every operation on it is pure. Its objects take
-their sorts from ``context.SORTS``: players are Agents, the ball a Ball,
-teams a Team and the last action an Action.
+answers predicate queries over them. Elaboration is one pass: each emit
+site, a predicate over arguments of fixed sorts, is checked against the
+context once per call, and each of its perceptions is built, under the
+context's own spelling of its predicate name, only when its choice conforms
+too. Nothing moves here; a snapshot is one instant, and every operation on
+it is pure. Its objects take their sorts from ``context.SORTS``: players are
+Agents, the ball a Ball, teams a Team and the last action an Action.
 
 Artifact-defined semantics, chosen to keep targets desk-scale:
 
@@ -40,7 +41,7 @@ import random
 from dataclasses import dataclass
 
 from .cases import ME, Perception, TargetCase, concrete, const
-from .context import Context, football_context, quantize_distance, validate_perception
+from .context import Context, football_context, quantize_distance, validate_arguments
 
 DEFAULT_RADIUS = 30.0
 FIELD_LENGTH = 100.0
@@ -175,43 +176,62 @@ def elaborate(world: WorldSnapshot, self_id: str,
     by_lower = {name.lower(): name for name in ctx.predicates}
     kept: list[Perception] = []
 
-    def emit(name: str, values, choice):
+    def site(name: str, *args):
+        """One emit site, checked once: the context's spelling of ``name`` and
+        the test of a choice, or None when no perception of the site conforms
+        to the context. ``args`` stand for the site's arguments by their sort;
+        a player's argument, ``me`` or concrete, is an Agent either way."""
         declared = by_lower.get(name.lower())
-        if declared is not None:
-            p = Perception(declared, tuple(values), choice)
-            if validate_perception(p, ctx) is None:
-                kept.append(p)
+        if declared is None:
+            return None
+        schema = ctx.predicates[declared]
+        if validate_arguments(schema, args) is not None:
+            return None
+        return declared, schema.choice.accepts
 
+    def emit(site, values, choice):
+        if site is not None and site[1](choice):
+            kept.append(Perception(site[0], values, choice))
+
+    player = ME  # stands for any player's argument at a site
+    has_ball, is_marked = site("hasBall", player), site("isMarked", player)
+    call_for_ball, call_for_support = site("callForBall", player), site("callForSupport", player)
+    partner, is_in_attack = site("partner", player), site("isInAttack", player)
     for p in perceived:
-        emit("hasBall", [refs[p.pid]], p.has_ball)
-        emit("isMarked", [refs[p.pid]], p.marked_by is not None)
-        emit("callForBall", [refs[p.pid]], p.call_for_ball)
-        emit("callForSupport", [refs[p.pid]], p.call_for_support)
-        emit("partner", [refs[p.pid]], p.team == me.team)
+        ref = (refs[p.pid],)
+        emit(has_ball, ref, p.has_ball)
+        emit(is_marked, ref, p.marked_by is not None)
+        emit(call_for_ball, ref, p.call_for_ball)
+        emit(call_for_support, ref, p.call_for_support)
+        emit(partner, ref, p.team == me.team)
         if _attacks_positive_x(p.team):
             in_attack = p.x > world.field_length / 2
         else:
             in_attack = p.x < world.field_length / 2
-        emit("isInAttack", [refs[p.pid]], in_attack)
+        emit(is_in_attack, ref, in_attack)
+    marked_by = site("markedBy", player, player)
     for p in perceived:
         if p.marked_by is not None and p.marked_by in refs:
-            emit("markedBy", [refs[p.pid], refs[p.marked_by]], True)
+            emit(marked_by, (refs[p.pid], refs[p.marked_by]), True)
 
     others = [p for p in perceived if p.pid != self_id]
     if ball_seen:
-        emit("distance", [ME, ball_const], quantize_distance(_distance((me.x, me.y), world.ball)))
-        emit("relativePosition", [ME, ball_const],
+        emit(site("distance", ME, ball_const), (ME, ball_const),
+             quantize_distance(_distance((me.x, me.y), world.ball)))
+        emit(site("relativePosition", ME, ball_const), (ME, ball_const),
              _quadrant(facing_me, (world.ball[0] - me.x, world.ball[1] - me.y)))
+    distance, relative = site("distance", ME, player), site("relativePosition", ME, player)
     for p in others:
-        emit("distance", [ME, refs[p.pid]], quantize_distance(_distance((me.x, me.y), (p.x, p.y))))
-        emit("relativePosition", [ME, refs[p.pid]],
-             _quadrant(facing_me, (p.x - me.x, p.y - me.y)))
+        emit(distance, (ME, refs[p.pid]), quantize_distance(_distance((me.x, me.y), (p.x, p.y))))
+        emit(relative, (ME, refs[p.pid]), _quadrant(facing_me, (p.x - me.x, p.y - me.y)))
     if ball_seen:
+        from_ball = site("distance", ball_const, player)
         for p in others:
-            emit("distance", [ball_const, refs[p.pid]],
+            emit(from_ball, (ball_const, refs[p.pid]),
                  quantize_distance(_distance(world.ball, (p.x, p.y))))
+    orientation = site("orientation", player)
     for p in others:
-        emit("orientation", [refs[p.pid]], _quadrant(facing_me, _facing(p, world.ball)))
+        emit(orientation, (refs[p.pid],), _quadrant(facing_me, _facing(p, world.ball)))
 
     half = me.x < world.field_length / 2
     mates = sum(1 for p in world.players
@@ -219,8 +239,9 @@ def elaborate(world: WorldSnapshot, self_id: str,
     foes = sum(1 for p in world.players
                if p.team != me.team and (p.x < world.field_length / 2) == half)
     label = "even" if mates == foes else ("outnumbering" if mates > foes else "outnumbered")
-    emit("ratio", [const(me.team, "Team")], label)
-    emit("lastAction", [const("pass", "Action")], world.last_action_pass)
+    team, last = const(me.team, "Team"), const("pass", "Action")
+    emit(site("ratio", team), (team,), label)
+    emit(site("lastAction", last), (last,), world.last_action_pass)
     return TargetCase(perceptions=tuple(kept), origin=world.wid)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 import threading
 import time
 from collections import Counter, deque
@@ -153,6 +155,24 @@ class TestTargetOracle:
         values = tuple(values)
         assert (ct.TargetOracle(target).completions(name, values, desired)
                 == reference_completions(target, name, values, desired))
+
+    def test_rows_do_not_depend_on_the_order_of_lookups(self):
+        # the index is built at the first lookup, whichever it is: two equal
+        # targets asked in opposite orders, one of them twice, give the
+        # per-perception matcher's rows
+        tree = ct.build_tree(random_base(3, 40, max_players=22), ct.FOOTBALL_PRIORITY)
+        questions = [(arc.node.predicate, arc.node.values, arc.test)
+                     for node in tree.iter_nodes() for arc in node.arcs]
+        questions += [("hasBall", (ct.ME,), "long"), ("ratio", (ct.generic("A"),), "even")]
+        assert len({(name, test) for name, _, test in questions}) > 10
+        for seed in (5, 6):
+            world = ct.generate_world(seed, 22)
+            first, second = (ct.elaborate(world, world.self_id, 120.0) for _ in range(2))
+            forward = [first.completions(*q) for q in questions]
+            backward = [second.completions(*q) for q in reversed(questions)][::-1]
+            again = [first.completions(*q) for q in questions]
+            expected = [reference_completions(first, *q) for q in questions]
+            assert forward == backward == again == expected
 
     def test_consistent_with_elaborate(self):
         """Every held perception's ground pattern holds, and with its Boolean
@@ -434,6 +454,37 @@ class TestScanTree:
             concurrent = list(pool.map(run, targets))
         sequential = [run(t) for t in targets]
         assert concurrent == sequential
+
+    def test_concurrent_scans_share_one_target(self):
+        # four threads scan one fresh target, whose index the first lookup
+        # builds, with a short switch interval; each ranking and each top-1
+        # answer equals a serial scan's, by repr
+        tree = ct.build_tree(random_base(7, 40, max_players=10), ct.FOOTBALL_PRIORITY)
+
+        def scans(target):
+            oracle = ct.TargetOracle(target)
+            return [re.sub(r"elapsed_us=\d+", "", repr(r)) for r in (
+                ct.scan_tree(tree, oracle), ct.scan_tree(tree, oracle, prune=False),
+                ct.scan_tree(tree, oracle, cancel=threading.Event()))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(60, 64):
+                world = ct.generate_world(seed, 10)
+                serial = scans(ct.elaborate(world, world.self_id, 120.0))
+                shared = ct.elaborate(world, world.self_id, 120.0)
+                start = threading.Barrier(4)
+
+                def run():
+                    start.wait(timeout=30)
+                    return scans(shared)
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(run) for _ in range(4)]
+                    assert [f.result(timeout=60) for f in futures] == [serial] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_completion_binding_one_id_twice_never_merges(self):
         # the target perceives markedBy(x, x): the only way to fill the
@@ -728,8 +779,9 @@ class TestScanTree:
         # one check before each oracle test and one at every node of each
         # search; a stop inside a case's search leaves that case unevaluated,
         # every case searched before it as the full scan leaves it, and every
-        # walk where the tests before the stop left it
-        world = ct.generate_world(8, 8)
+        # walk where the tests before the stop left it; ten players, so that
+        # some search still spans ten checks
+        world = ct.generate_world(8, 10)
         target = ct.elaborate(world, world.self_id, radius=120)
         base = random_base(4, 5, max_players=8)
         tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
@@ -936,8 +988,9 @@ class TestScanLinear:
     @pytest.mark.parametrize("stop", ["cancel", "deadline"])
     def test_interrupt_mid_case_leaves_it_unevaluated(self, monkeypatch, stop):
         # one check before each case and one at every node of its search; a
-        # stop at check k leaves every case from the one holding it unevaluated
-        world = ct.generate_world(8, 8)
+        # stop at check k leaves every case from the one holding it
+        # unevaluated; ten players, so that some search spans ten checks
+        world = ct.generate_world(8, 10)
         oracle = ct.TargetOracle(ct.elaborate(world, world.self_id, radius=120))
         cases = random_base(4, 5, max_players=8)
         full = ct.scan_linear(cases, oracle)

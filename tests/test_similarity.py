@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.similarity import partial_score, scored_unify
+from casetree.cases import mask_weight
+from casetree.similarity import ceiling, objective, partial_score, scored_unify
 from support import (
     brute_force_optimum,
     brute_force_similarity,
@@ -115,6 +118,28 @@ class TestPartialScore:
         assert partial_score(2.0, 4, 2.0, 4, alpha) == pytest.approx(1.0, abs=0)
         # with alpha == 0 the penalty vanishes regardless of coverage
         assert partial_score(2.0, 0, 2.0, 4, 0.0) == 1.0
+
+
+class TestCeiling:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_is_a_full_match_bit_for_bit(self, alpha):
+        # the arc bound of a top-1 scan: a case matching all its n perceptions
+        # scores exactly the ceiling for n, whatever its weights, since its
+        # matched weight is its total weight summed in the same order
+        params = ct.SimilarityParams(alpha)
+        rng = random.Random(f"ceiling {alpha}")
+        sampled = random_base(17, 30, max_players=22) + random_base(18, 30, max_players=8)
+        cases = sampled + [
+            ct.GenericCase(c.id, c.perceptions,
+                           tuple(rng.uniform(0.0, 10.0) ** rng.choice((1, 7, -7))
+                                 for _ in c.weights))
+            for c in sampled]
+        for case in cases:
+            n = len(case.perceptions)
+            full = mask_weight(case.weights, (1 << n) - 1)
+            for size in range(1, 231):
+                assert (ceiling(n, size, params).hex()
+                        == objective(case, size, params)(*full).hex()), (case, size)
 
 
 class TestParams:

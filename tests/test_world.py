@@ -64,6 +64,59 @@ class TestElaborate:
             if p.name == "distance":
                 assert p.values[1].kind in ("me", "concrete")
 
+    def test_restricted_context_keeps_exactly_what_validates(self, football_ctx):
+        # every emit site is checked once per call and each perception only
+        # for its choice: the kept perceptions must be the candidates, under
+        # the context's spelling, that validate_perception accepts
+        schemas = football_ctx.predicates
+        # DomainObject sorts accept every argument, so this context keeps
+        # every candidate the world emits
+        candidates_ctx = ct.Context({
+            name: ct.PredicateSchema(name, tuple((var, "DomainObject") for var, _ in s.params),
+                                     s.choice_name, s.choice)
+            for name, s in schemas.items()}, football_ctx.domains)
+        three = ct.qualitative("three", ("left", "right", "front"))
+        yes = ct.qualitative("yes", ("yes",))
+
+        def renamed(name, new, params=None, choice=None):
+            old = schemas[name]
+            return new, ct.PredicateSchema(new, old.params if params is None else params,
+                                           old.choice_name, choice or old.choice)
+
+        restricted = ct.Context(dict([
+            renamed("hasBall", "HASBALL", params=(("P1", "Ball"),)),  # no site's sorts
+            renamed("isMarked", "ismarked"),
+            renamed("markedBy", "markedBy", choice=yes),  # no Boolean choice
+            renamed("partner", "partner"),
+            renamed("isInAttack", "isInAttack"),
+            renamed("callForBall", "callForBall"),
+            # (me, ball) and (ball, player) sites go, (me, player) stays
+            renamed("distance", "distance", params=(("O1", "Agent"), ("O2", "Agent"))),
+            renamed("relativePosition", "relativeposition", choice=three),  # no "back"
+            renamed("orientation", "orientation",
+                    params=(("O1", "PhysicalObject"), ("O2", "PhysicalObject"))),  # arity
+            renamed("ratio", "ratio", choice=ct.qualitative("ratio", ("even",))),
+            renamed("lastAction", "lastAction", params=(("DO1", "Team"),)),  # an Action
+        ]), {"three": three, "yes": yes})
+        spelled = {name.lower(): name for name in restricted.predicates}
+        dropped = set()
+        for seed in range(8):
+            world = ct.generate_world(seed, 22)
+            for radius in (30.0, 120.0):
+                candidates = ct.elaborate(world, world.self_id, radius, candidates_ctx)
+                expected = []
+                for p in candidates.perceptions:
+                    q = ct.Perception(spelled.get(p.name.lower(), p.name), p.values, p.choice)
+                    violation = ct.validate_perception(q, restricted)
+                    if violation is None:
+                        expected.append(q)
+                    else:
+                        dropped.add(violation.split(":")[0])
+                got = ct.elaborate(world, world.self_id, radius, restricted)
+                assert got.perceptions == tuple(expected), (seed, radius)
+                assert got.origin == candidates.origin
+        assert dropped == {"unknown-predicate", "arity", "sort", "value"}
+
     def test_unknown_self(self):
         with pytest.raises(ValueError, match="Agent.99"):
             ct.elaborate(compact_world(), "Agent.99")
