@@ -577,8 +577,8 @@ def parse_case(document: str | ET.Element, ctx: Context) -> GenericCase:
 def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tuple[str, ...]]:
     """Parse a ``caseBase`` document into (cases, priority order).
 
-    Duplicate case ids are errors; exactly one priority element is required,
-    and it must cover every predicate the cases use.
+    Duplicate case ids are errors; exactly one priority element is required.
+    ``build_tree``, not parsing, checks that it covers the cases' predicates.
     """
     root = _root(document, "caseBase")
     if root.attrib:

@@ -7,7 +7,8 @@ one branch from a top-level node, the arcs in ``CaseTree.paths``, whose
 node/test labels spell out its perceptions in descending priority order;
 ``CaseTree.order`` holds that order as indices into the case's perceptions.
 Cases with a common high-priority prefix share nodes, which is where the
-memory saving and the shared query work come from.
+memory saving and the shared query work come from. Each arc lists, in base
+order, the cases below it and those ending at it, and their most perceptions.
 
 Retrieval walks the tree under a budget. Each arc test costs one comparison
 and asks the oracle for every injective way the node's free generic agents
@@ -30,21 +31,22 @@ its frontier is a heap of arcs to test and cases to search, highest bound
 first, and it stops as soon as no entry left can beat the leader, the best
 case searched so far (the threshold stop of Fagin, Lotem & Naor, PODS 2001,
 over a best-first walk, as in Hansen & Zhou, JAIR 2007). An arc is bounded
-by ``similarity.ceiling`` for the most perceptions a case below it has: a
-case that matches all its perceptions scores exactly its coverage term,
-whatever its weights, so no case is scored before its walk ends. A case to
-search is bounded by the objective of its prefix's positions that have rows,
-the search's own first bound, its weights summed with ``cases.mask_weight``
-as the search sums them. So no bound falls below the score it bounds and
-exact ties keep going to the lowest case id. One case goes ahead of its
-bound: the first whose walk ends with a positive bound is searched at once,
-so that a deadline too short for the walk still gets an answer. Every later
-search is cut at the leader (branch and bound with an outside incumbent): a
-node is cut when it cannot beat the leader's score, or for a case of lower
-id than the leader's, when it cannot reach it. A case the scan never
-searched, or whose search showed it cannot win, is reported unevaluated,
-with score 0; such cases share one ``CaseOutcome`` per (scanned, pruned)
-pair.
+by ``similarity.ceiling`` for ``arc.most``: a case that matches all its
+perceptions scores exactly its coverage term, whatever its weights, so no
+case is scored before its walk ends. A case to search is bounded by the
+objective of its prefix's positions that have rows, the search's own first
+bound, its weights summed with ``cases.mask_weight`` as the search sums
+them. So no bound falls below the score it bounds and exact ties keep going
+to the lowest case id. One case goes ahead of its bound: the first whose
+walk ends with a positive bound, in base order among those whose walks end
+at one arc, is searched at once, so that a deadline too short for the walk
+still gets an answer. The scan thus takes the same steps in every run, and a
+scan that nothing stops gives the same result. Every later search is cut at
+the leader (branch and bound with an outside incumbent): a node is cut when
+it cannot beat the leader's score, or for a case of lower id than the
+leader's, when it cannot reach it. A case the scan never searched, or whose
+search showed it cannot win, is reported unevaluated, with score 0; such
+cases share one ``CaseOutcome`` per (scanned, pruned) pair.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``, maximizing ``similarity.objective``. The linear
@@ -71,7 +73,7 @@ import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -115,7 +117,9 @@ class Arc:
     node: "TreeNode"
     test: bool | str
     children: list["TreeNode"] = field(default_factory=list)
-    below: frozenset[str] = frozenset()
+    below: list[str] = field(default_factory=list)  # cases whose branch takes it, base order
+    ends: list[str] = field(default_factory=list)  # those whose branch ends here
+    most: int = 0  # the most perceptions a case below has
 
 
 @dataclass(eq=False)
@@ -166,15 +170,15 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
     Inserts each case's perceptions in descending priority, reusing a node
     when its {predicate, values} pattern matches and an arc when its tested
     choice value matches, creating them otherwise. A case's branch is the
-    sequence of arcs it takes, ``tree.paths[case.id]``; every arc knows the
-    ids of the cases whose branch takes it, ``arc.below``.
+    sequence of arcs it takes, ``tree.paths[case.id]``. Each arc records the
+    ids of the cases whose branch takes it (``below``) and ends at it
+    (``ends``), both in base order, and the most perceptions of any (``most``).
     """
     roots: list[TreeNode] = []
     cases: dict[str, GenericCase] = {}
     paths: dict[str, tuple[Arc, ...]] = {}
     orders: dict[str, tuple[int, ...]] = {}
     rank = {name: i for i, name in enumerate(priority)}
-    below: dict[Arc, list[str]] = {}  # ids of the cases whose branch takes each arc
 
     for case in base:
         if case.id in cases:
@@ -201,14 +205,13 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
             else:
                 arc = Arc(node, p.choice)
                 node.arcs.append(arc)
-                below[arc] = []
-            below[arc].append(case.id)
+            arc.below.append(case.id)
+            if arc.most < len(order):
+                arc.most = len(order)
             path.append(arc)
             nodes = arc.children
+        path[-1].ends.append(case.id)  # every case has a perception
         paths[case.id] = tuple(path)
-
-    for arc, ids in below.items():
-        arc.below = frozenset(ids)
     return CaseTree(roots=roots, cases=cases, paths=paths, order=orders)
 
 
@@ -263,7 +266,8 @@ class TargetOracle:
     way in the sorted order of the labels, rows sorted; ``[()]`` or ``[]`` for
     a ground pattern. Scans take the oracle as a parameter, so a caller can
     stand in its own, for instance to time or fail its tests; a stand-in
-    returns the rows in that same form.
+    returns the rows in that same form. Only ``scan_tree`` calls it:
+    ``scan_linear`` scores each case against ``oracle.target`` directly.
     """
 
     def __init__(self, target: TargetCase):
@@ -364,7 +368,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     start = time.perf_counter()
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
     interrupted = _stop_check(budget, start, cancel)
-    size, cases, order, paths = oracle.size, tree.cases, tree.order, tree.paths
+    size, cases, order = oracle.size, tree.cases, tree.order
     # per case: (arcs of its branch tested, its tested prefix that no arc
     # contradicted); per searched case: its score and substitution
     record = dict.fromkeys(cases, (0, ()))
@@ -403,14 +407,14 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             frontier.extend((-math.inf, 0, 0, arc, tested)
                             for node in nodes for arc in node.arcs)
 
-        def end(below, depth=None) -> None:
+        def end(ids) -> None:
             """Nothing to queue: every case is searched once the walk stops."""
     else:
         # top-1: highest bound first, an arc before a case on an equal bound
         frontier = []
         pop, sequence = partial(heappop, frontier), itertools.count()
 
-        ceilings: dict[int, float] = {}  # per perception count, its ceiling
+        arc_bound = cache(partial(ceiling, target_size=size, params=params))
 
         def walk(nodes, tested) -> None:
             for node in nodes:
@@ -419,28 +423,23 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                     # far, and none scores above a full match, whose score
                     # depends on its perception count alone; with pruning off
                     # this bound is looser, still safe
-                    n = max(len(order[cid]) for cid in arc.below)
-                    bound = ceilings.get(n)
-                    if bound is None:
-                        bound = ceilings[n] = ceiling(n, size, params)
-                    heappush(frontier, (-bound, 0, next(sequence), arc, tested))
+                    heappush(frontier, (-arc_bound(arc.most), 0, next(sequence), arc, tested))
 
         leaderless = True  # no case has been queued to lead yet
 
-        def end(below, depth=None) -> None:
-            """Queue the search of each case below whose branch ends at
-            ``depth``, or of each one when ``depth`` is None. The first case
-            queued with a positive bound goes to the top, so that a deadline
-            too short for the walk still gets an answer."""
+        def end(ids) -> None:
+            """Queue the search of each case of ``ids``, whose walks have
+            ended. The first case queued with a positive bound goes to the
+            top, so that a deadline too short for the walk still gets an
+            answer."""
             nonlocal leaderless
-            for cid in below:
-                if depth is None or len(paths[cid]) == depth:
-                    case = cases[cid]
-                    mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
-                    bound = objective(case, size, params)(*mask_weight(case.weights, mask))
-                    if leaderless and bound > 0:
-                        leaderless, bound = False, math.inf
-                    heappush(frontier, (-bound, 1, cid, None, None))
+            for cid in ids:
+                case = cases[cid]
+                mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
+                bound = objective(case, size, params)(*mask_weight(case.weights, mask))
+                if leaderless and bound > 0:
+                    leaderless, bound = False, math.inf
+                heappush(frontier, (-bound, 1, cid, None, None))
 
     walk(tree.roots, ())
     leader = (math.inf, "")  # (-score, case id) of the best case searched
@@ -477,7 +476,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         if prune and not rows:  # a contradiction ends every walk below
             end(arc.below)
         else:
-            end(arc.below, seen[0])
+            end(arc.ends)
             walk(arc.children, tested)
 
     if interrupted is None:
@@ -513,7 +512,8 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
     """Classic flat retrieval: full unification case by case, in the order of
     ``base``. Each case costs as many comparisons as it has perceptions and is
     either fully evaluated or left unevaluated, ranking as score 0: not
-    reached, or interrupted mid-search by the deadline or cancellation.
+    reached, or interrupted mid-search by the deadline or cancellation. It
+    scores against ``oracle.target`` and never calls ``oracle.completions``.
     """
     unreached = CaseOutcome(0.0, 0, False, False, NO_SUBSTITUTION)  # shared
     per_case = dict.fromkeys((c.id for c in base), unreached)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from collections import Counter, deque
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -320,7 +324,7 @@ class TestScanTree:
         r = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(0.002))
         assert r.tests_used == 1
         scanned = {cid for cid, oc in r.per_case.items() if oc.scanned}
-        assert scanned in [arc.below for arc in tree.roots[0].arcs]
+        assert scanned in [set(arc.below) for arc in tree.roots[0].arcs]
         assert all(oc.scanned <= 1 and not oc.evaluated for oc in r.per_case.values())
         # a deadline that never passes gives the unbounded scan's answer
         generous = ct.scan_tree(tree, oracle, ct.ScanBudget.deadline(10.0), prune=False)
@@ -331,6 +335,38 @@ class TestScanTree:
         assert all(oc == full.per_case[cid] for cid, oc in generous.per_case.items()
                    if oc.evaluated)
         assert generous.tests_used <= tree.arc_count()
+
+    def test_top1_does_not_depend_on_the_hash_seed(self, fixture_dir):
+        # the case searched ahead of its bound is the first in base order, so
+        # a top-1 scan that nothing stops gives one result under every hash
+        # seed, its unevaluated cases included
+        script = textwrap.dedent("""\
+            import dataclasses, sys, threading
+            from pathlib import Path
+            import casetree as ct
+            fixtures = Path(sys.argv[1])
+            ctx = ct.parse_context((fixtures / "football.ctx.xml").read_text())
+            cases, priority = ct.parse_case_base(
+                (fixtures / "bench50.cases.xml").read_text(), ctx)
+            tree = ct.build_tree(cases, priority)
+            for path in sorted(fixtures.glob("w*.world")):
+                world = ct.load_snapshot(path.read_text())
+                oracle = ct.TargetOracle(ct.elaborate(world, world.self_id, ctx=ctx))
+                r = ct.scan_tree(tree, oracle, cancel=threading.Event())
+                print(path.name, repr(dataclasses.replace(r, elapsed_us=0)))
+            """)
+        src = Path(ct.__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script, str(fixture_dir)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.splitlines())
+        assert len(outputs[0]) == len(list(fixture_dir.glob("w*.world"))) == 5
+        assert outputs[0] == outputs[1]
 
     def test_oracle_failure_carries_partial_results(self, three_case_base, exact_case1_target):
         # a failed test ends every walk where it stands, as a spent comparison

@@ -114,7 +114,9 @@ class TestCounts:
 
 class TestTreeValidity:
     def test_200_random_bases_reconstruct_exactly(self):
-        """Every case's branch spells out its perceptions in priority order."""
+        """Every case's branch spells out its perceptions in priority order,
+        and every arc states, in base order, the cases below it and those
+        whose branch ends at it, and the most perceptions any case below has."""
         for seed in range(200):
             base = random_base(seed, n_cases=1 + seed % 50)
             if not base:
@@ -128,6 +130,13 @@ class TestTreeValidity:
                 order = [p.name for p in tree.path_perceptions(case.id)]
                 ranks = [ct.FOOTBALL_PRIORITY.index(n) for n in order]
                 assert ranks == sorted(ranks)
+            for node in tree.iter_nodes():
+                for arc in node.arcs:
+                    below = [c for c in base if arc in tree.paths[c.id]]
+                    assert arc.below == [c.id for c in below], seed
+                    assert arc.ends == [c.id for c in below
+                                        if tree.paths[c.id][-1] is arc], seed
+                    assert arc.most == max(len(c.perceptions) for c in below), seed
 
     def test_sharing_inequality(self):
         for seed in range(60):
