@@ -129,12 +129,17 @@ class CaseError(ValueError):
 @dataclass(frozen=True)
 class GenericCase:
     """A stored source case: perceptions, per-perception relevance weights,
-    and the action it recommends."""
+    and the action it recommends. ``total_weight``, set at construction, sums
+    the weights left to right from 0.0, as ``mask_weight`` sums every index,
+    so a full match's weight factor is exactly 1.0 (``similarity.ceiling``);
+    ``sum`` compensates rounding from Python 3.12 on. Derived from the
+    weights, it takes no part in ``repr``, ``==`` or ``hash``."""
 
     id: str
     perceptions: tuple[Perception, ...]
     weights: tuple[float, ...]
     action: str = "none"
+    total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.perceptions) != len(self.weights):
@@ -142,7 +147,8 @@ class GenericCase:
                             f"{len(self.perceptions)} perceptions")
         if not all(0 <= w < math.inf for w in self.weights):
             raise CaseError(f"case {self.id}: negative or non-finite weight")
-        if sum(self.weights) <= 0:
+        object.__setattr__(self, "total_weight", reduce(add, self.weights, 0.0))
+        if self.total_weight <= 0:
             raise CaseError(f"case {self.id}: total weight must be positive")
         if len(set(self.perceptions)) != len(self.perceptions):
             raise CaseError(f"case {self.id}: duplicate perception")
@@ -150,13 +156,6 @@ class GenericCase:
             for v in p.values:
                 if v.kind == "concrete":
                     raise CaseError(f"case {self.id}: concrete agent {v.name} in generic case")
-
-    @property
-    def total_weight(self) -> float:
-        # left to right from 0.0, as ``mask_weight`` sums every index, so a
-        # full match's weight factor is exactly 1.0 (``similarity.ceiling``);
-        # ``sum`` compensates float rounding from Python 3.12 on
-        return reduce(add, self.weights, 0.0)
 
     @property
     def generic_labels(self) -> tuple[str, ...]:

@@ -210,8 +210,8 @@ def memory_curve(stream: Iterable[GenericCase],
 # fixture and CSV formats
 
 def load_ground_truth(text: str) -> dict[str, frozenset[str]]:
-    """Parse ``target-id: case-id,case-id,...`` lines; blank lines and
-    ``#`` comments are skipped."""
+    """Parse ``target-id: case-id,case-id,...`` lines, one per target id;
+    blank lines and ``#`` comments are skipped."""
     truth: dict[str, frozenset[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -220,8 +220,10 @@ def load_ground_truth(text: str) -> dict[str, frozenset[str]]:
         if ":" not in line:
             raise ValueError(f"ground truth line {lineno}: expected 'target: ids'")
         target_id, _, ids = line.partition(":")
-        members = frozenset(x.strip() for x in ids.split(",") if x.strip())
-        truth[target_id.strip()] = members
+        target_id = target_id.strip()
+        if target_id in truth:
+            raise ValueError(f"ground truth line {lineno}: target {target_id!r} given twice")
+        truth[target_id] = frozenset(x.strip() for x in ids.split(",") if x.strip())
     return truth
 
 

@@ -20,9 +20,9 @@ below it, and with pruning off the walk goes on and converges to the offline
 similarity of every case. A case's walk also ends at its last arc, and every
 walk ends once the scan stops testing. Each case is searched at most once,
 after its walk ends, by the exact binding search over the rows of its tested
-branch positions. Besides that score, a scan keeps one record per case: how
-many arcs of its branch were tested, and its tested prefix that no arc
-contradicted.
+branch positions, which makes the case's outcome once it has a score to keep.
+A scan keeps one record per case, final once its walk ends: how many arcs of
+its branch were tested, and its tested prefix that no arc contradicted.
 
 What can stop a scan decides its order. A scan that nothing can interrupt
 ranks the cases: it walks breadth first and, once the walk stops, searches
@@ -46,7 +46,7 @@ the leader (branch and bound with an outside incumbent): a node is cut when
 it cannot beat the leader's score, or for a case of lower id than the
 leader's, when it cannot reach it. A case the scan never searched, or whose
 search showed it cannot win, is reported unevaluated, with score 0; such
-cases share one ``CaseOutcome`` per (scanned, pruned) pair.
+cases, of either engine, share one ``CaseOutcome`` per (scanned, pruned) pair.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
 ``cases._search_bindings``, maximizing ``similarity.objective``. The linear
@@ -297,6 +297,12 @@ class CaseOutcome:
     substitution: Substitution
 
 
+@cache
+def _unevaluated(scanned: int, pruned: bool) -> CaseOutcome:
+    """The outcome of a case left unevaluated, shared by every such case."""
+    return CaseOutcome(0.0, scanned, pruned, False, NO_SUBSTITUTION)
+
+
 @dataclass(frozen=True, eq=True)
 class RetrievalResult:
     best_case: str | None
@@ -370,16 +376,16 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     interrupted = _stop_check(budget, start, cancel)
     size, cases, order = oracle.size, tree.cases, tree.order
     # per case: (arcs of its branch tested, its tested prefix that no arc
-    # contradicted); per searched case: its score and substitution
+    # contradicted), final once its walk ends; and its outcome once searched
     record = dict.fromkeys(cases, (0, ()))
-    found: dict[str, tuple[float, Substitution]] = {}
+    per_case: dict[str, CaseOutcome | None] = dict.fromkeys(cases)
     tests_used = 0
     failure = None  # (message, exception) once the oracle fails
 
     def search(cid: str, floor: float = -math.inf) -> bool:
-        """Search ``cid`` and keep its score if it beats ``floor``; false
-        once the scan is interrupted."""
-        tested = record[cid][1]
+        """Search ``cid`` and keep its outcome if its score beats ``floor``;
+        false once the scan is interrupted."""
+        count, tested = record[cid]
         score, pairs = 0.0, ()  # the value of an empty prefix
         if tested:
             got = _search_bindings(
@@ -389,7 +395,9 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                 return False
             score, pairs = got[:2]
         if score > floor:
-            found[cid] = score, Substitution(pairs) if pairs else NO_SUBSTITUTION
+            # with pruning, only the last tested arc of a branch can contradict
+            per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count, True,
+                                        Substitution(pairs) if pairs else NO_SUBSTITUTION)
         return True
 
     # frontier entries: (-bound, 0, sequence number, arc, tested prefix) for an
@@ -399,7 +407,9 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     # every case below
     if interrupted is None:
         # a ranking: breadth first, and every case searched once the walk
-        # stops; no bound is needed, since nothing is cut
+        # stops; no bound is needed, since nothing is cut. Searching each case
+        # as its walk ends does the same searches, yet measured 1.08-1.14x the
+        # time of this order on the fixture50, crowded and acquire rankings
         frontier = deque()
         pop = frontier.popleft
 
@@ -453,8 +463,8 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             score = -leader[0]
             if not search(key, score if key > leader[1] else math.nextafter(score, -math.inf)):
                 break
-            if key in found:
-                leader = -found[key][0], key
+            if per_case[key] is not None:
+                leader = -per_case[key].score, key
             continue
         if interrupted is not None and interrupted():
             break
@@ -482,20 +492,9 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     if interrupted is None:
         for cid in cases:
             search(cid)
-    per_case = {}
-    unevaluated: dict[tuple[int, bool], CaseOutcome] = {}  # shared, per (scanned, pruned)
     for cid, (count, tested) in record.items():
-        # with pruning, only the last tested arc of a branch can contradict
-        pruned = prune and len(tested) < count
-        if cid in found:
-            score, substitution = found[cid]
-            per_case[cid] = CaseOutcome(score, count, pruned, True, substitution)
-            continue
-        outcome = unevaluated.get((count, pruned))
-        if outcome is None:
-            outcome = unevaluated[count, pruned] = CaseOutcome(0.0, count, pruned, False,
-                                                                NO_SUBSTITUTION)
-        per_case[cid] = outcome
+        if per_case[cid] is None:
+            per_case[cid] = _unevaluated(count, prune and len(tested) < count)
     result = _result(per_case, tests_used, start)
     if failure is not None:  # surface with the result attached
         raise RetrievalError(failure[0], partial=result) from failure[1]
@@ -515,8 +514,7 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
     reached, or interrupted mid-search by the deadline or cancellation. It
     scores against ``oracle.target`` and never calls ``oracle.completions``.
     """
-    unreached = CaseOutcome(0.0, 0, False, False, NO_SUBSTITUTION)  # shared
-    per_case = dict.fromkeys((c.id for c in base), unreached)
+    per_case = dict.fromkeys((c.id for c in base), _unevaluated(0, False))
     if len(per_case) != len(base):
         raise TreeError("duplicate case id in base")
     if oracle.size < 1:

@@ -32,6 +32,8 @@ Snapshot text format (line oriented, UTF-8)::
     self <player-id>
     lastpass <0|1>
     player <id> <team> <x> <y> <hasball 0|1> <marked-by|-> <callball 0|1> <callsupport 0|1>
+
+Every record but ``player`` may appear at most once.
 """
 
 from __future__ import annotations
@@ -309,6 +311,7 @@ def load_snapshot(text: str) -> WorldSnapshot:
     ball: tuple[float, float] | None = None
     self_id: str | None = None
     players: list[Player] = []
+    kinds: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,6 +319,9 @@ def load_snapshot(text: str) -> WorldSnapshot:
         parts = line.split()
         kind = parts[0]
         try:
+            if kind in kinds and kind != "player":
+                raise ValueError(f"second {kind!r} record")
+            kinds.add(kind)
             if kind == "world":
                 wid = parts[1]
             elif kind == "tick":

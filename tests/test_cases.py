@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -425,6 +427,21 @@ class TestInvariants:
         with pytest.raises(ct.CaseError, match="non-finite"):
             ct.GenericCase("bad", (P("hasball", [ct.ME], True),
                                    P("partner", [ct.ME], True)), (1.0, weight))
+
+    def test_total_weight_is_summed_once_left_to_right(self):
+        # ten weights of 0.1 sum to 0.9999999999999999 left to right, and to 1.0
+        # under the compensated sum of Python 3.12 on
+        tenths = ct.GenericCase("tenths", tuple(P("partner", [ct.generic(f"A{i}")], True)
+                                                for i in range(10)), (0.1,) * 10)
+        for case in [tenths, *random_base(7, 40)]:
+            assert case.total_weight.hex() == reduce(add, case.weights, 0.0).hex(), case.id
+        assert tenths.total_weight == 0.9999999999999999
+
+    def test_total_weight_is_not_part_of_repr_eq_or_hash(self, case1):
+        assert "total_weight" not in repr(case1)
+        twin = ct.GenericCase(case1.id, case1.perceptions, case1.weights, case1.action)
+        object.__setattr__(twin, "total_weight", 2.0)
+        assert twin == case1 and hash(twin) == hash(case1)
 
     def test_generic_labels_are_sorted(self):
         # the column order of completion rows, whatever the order of appearance

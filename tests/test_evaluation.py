@@ -238,6 +238,10 @@ class TestFixtureFormats:
         with pytest.raises(ValueError):
             ct.load_ground_truth("w1 c1,c2\n")
 
+    def test_ground_truth_rejects_a_target_given_twice(self):
+        with pytest.raises(ValueError, match="line 2: target 'w1' given twice"):
+            ct.load_ground_truth("w1: a,b\nw1: c\n")
+
     def test_metric_csv_shape(self):
         row = ct.metrics({"a"}, {"a", "b"})
         from dataclasses import replace

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import casetree as ct
+from casetree.cli import main
 from casetree.world import Player
 
 
@@ -174,6 +175,23 @@ class TestSnapshotFormat:
         world = compact_world()
         text = "# fixture\n\n" + ct.dump_snapshot(world)
         assert ct.load_snapshot(text) == world
+
+    @pytest.mark.parametrize("record", ["world w2", "tick 3", "field 90.0 50.0", "ball 1.0 2.0",
+                                        "self Agent.2", "lastpass 0"])
+    def test_second_header_record_rejected(self, fixture_dir, record):
+        text = (fixture_dir / "w101n6.world").read_text()
+        lineno = len(text.splitlines()) + 1
+        kind = record.split()[0]
+        with pytest.raises(ValueError, match=f"snapshot line {lineno}: second '{kind}' record"):
+            ct.load_snapshot(text + record + "\n")
+
+    def test_retrieve_exits_2_on_a_second_self_record(self, fixture_dir, tmp_path, capsys):
+        world = tmp_path / "w101n6.world"
+        world.write_text((fixture_dir / "w101n6.world").read_text() + "self Agent.2\n")
+        code = main(["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"), "--world", str(world)])
+        assert code == 2
+        assert "second 'self' record" in capsys.readouterr().err
 
 
 class TestWorldInvariants:
