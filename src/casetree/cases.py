@@ -30,16 +30,17 @@ carries the decision attached to the case. Any other attribute is an error.
 
 Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every injective way a perception pattern can be bound so that it occurs
-in the target, as rows of ids. ``_search_bindings`` finds a case's best
-injective binding by a bounded depth-first search over those rows: it is exact
-at every agent count and can be interrupted at every search node. Both follow
-one label order, which ``pattern_labels`` owns: a row holds its ids in the
-sorted order of the pattern's generic labels, and the search decides labels
-in that order. ``unify`` and ``similarity.scored_unify`` run the search over
-every perception of a case; ``retrieval.scan_tree`` runs it for each case
-it searches, over the rows its tree branch has tested.
-Acquisition's dedupe, ``case_equivalent``, runs the same matcher and search
-with the stored case's labels standing in as concrete ids.
+in the target, as rows of ids, from an index the target builds when it is
+constructed. ``_search_bindings`` finds a case's best injective binding by a
+bounded depth-first search over those rows: it is exact at every agent count
+and can be interrupted at every search node. Both follow one label order,
+which ``pattern_labels`` owns: a row holds its ids in the sorted order of the
+pattern's generic labels, and the search decides labels in that order.
+``unify`` and ``similarity.scored_unify`` run the search over every
+perception of a case; ``retrieval.scan_tree`` runs it for each case it
+searches, over the rows its tree branch has tested. Acquisition's dedupe,
+``case_equivalent``, runs the same matcher and search with the stored case's
+labels standing in as concrete ids.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import add
 from typing import Iterable
 from xml.sax.saxutils import escape
 
@@ -117,10 +116,6 @@ class Perception:
         args = ",".join(str(v) for v in self.values)
         return f"{self.name}({args})={self.choice}"
 
-    @property
-    def generic_labels(self) -> tuple[str, ...]:
-        return pattern_labels(self.values)
-
 
 class CaseError(ValueError):
     """Raised for invalid case structure or case documents."""
@@ -129,11 +124,10 @@ class CaseError(ValueError):
 @dataclass(frozen=True)
 class GenericCase:
     """A stored source case: perceptions, per-perception relevance weights,
-    and the action it recommends. ``total_weight``, set at construction, sums
-    the weights left to right from 0.0, as ``mask_weight`` sums every index,
-    so a full match's weight factor is exactly 1.0 (``similarity.ceiling``);
-    ``sum`` compensates rounding from Python 3.12 on. Derived from the
-    weights, it takes no part in ``repr``, ``==`` or ``hash``."""
+    and the action it recommends. ``total_weight``, set at construction, is
+    ``mask_weight`` over every index, so a full match's weight factor is
+    exactly 1.0 (``similarity.ceiling``). Derived from the weights, it takes
+    no part in ``repr``, ``==`` or ``hash``."""
 
     id: str
     perceptions: tuple[Perception, ...]
@@ -147,7 +141,8 @@ class GenericCase:
                             f"{len(self.perceptions)} perceptions")
         if not all(0 <= w < math.inf for w in self.weights):
             raise CaseError(f"case {self.id}: negative or non-finite weight")
-        object.__setattr__(self, "total_weight", reduce(add, self.weights, 0.0))
+        object.__setattr__(self, "total_weight",
+                           mask_weight(self.weights, (1 << len(self.weights)) - 1)[0])
         if self.total_weight <= 0:
             raise CaseError(f"case {self.id}: total weight must be positive")
         if len(set(self.perceptions)) != len(self.perceptions):
@@ -166,28 +161,19 @@ class GenericCase:
 class TargetCase:
     """The current situation: perceptions over ``me`` and concrete agents only.
 
-    ``completions`` answers from an index of every perception, built whole
-    at the first lookup and never changed after, so concurrent scans may
-    share a target. Scans ask for most of it (a top-1 scan of a 22-player
-    target, for 85% of its perceptions), so building it one (predicate,
-    choice) at a time would cost more, in the pass that groups the
-    perceptions, than it saves.
+    ``completions`` answers from ``_index``: each perception's agent ids, in
+    argument order, keyed by its predicate, choice and shape (per argument
+    None for an agent slot, or the (kind, name) of ``me`` or a constant). The
+    constructor builds it in the pass that rejects generic agents, and it
+    never changes after, so concurrent scans may share a target. Derived from
+    the perceptions, it takes no part in ``repr``, ``==`` or ``hash``.
     """
 
     perceptions: tuple[Perception, ...]
     origin: str = ""
+    _index: dict[tuple, list[tuple[str, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for p in self.perceptions:
-            for v in p.values:
-                if v.kind == "generic":
-                    raise CaseError(f"target from {self.origin or '?'}: generic agent ?{v.name}")
-
-    @cached_property
-    def _index(self) -> dict[tuple, list[tuple[str, ...]]]:
-        """Each perception's agent ids, in argument order, keyed by its
-        predicate, choice and shape: per argument None for an agent slot, or
-        the (kind, name) of ``me`` or a constant."""
         index: dict[tuple, list[tuple[str, ...]]] = {}
         for p in self.perceptions:
             shape, ids = [], []
@@ -195,10 +181,12 @@ class TargetCase:
                 if v.kind == "concrete":
                     shape.append(None)
                     ids.append(v.name)
+                elif v.kind == "generic":
+                    raise CaseError(f"target from {self.origin or '?'}: generic agent ?{v.name}")
                 else:
                     shape.append((v.kind, v.name))
             index.setdefault((p.name, p.choice, tuple(shape)), []).append(tuple(ids))
-        return index
+        object.__setattr__(self, "_index", index)
 
     def completions(self, name: str, values: tuple[Value, ...],
                     desired: bool | str) -> list[tuple[str, ...]]:
@@ -406,7 +394,7 @@ def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None)
     ``target``: (best_value, Substitution, frozenset of matched indices), or
     None once ``interrupted()`` holds."""
     found = _search_bindings(source.weights, [
-        (i, p.generic_labels, target.completions(p.name, p.values, p.choice))
+        (i, pattern_labels(p.values), target.completions(p.name, p.values, p.choice))
         for i, p in enumerate(source.perceptions)
     ], objective, interrupted)
     if found is None:
@@ -481,7 +469,7 @@ def case_equivalent(a: GenericCase, b: GenericCase) -> bool:
     if len(a.generic_labels) != len(b.generic_labels):
         return False
     b_set = set(b.perceptions)
-    if any(p not in b_set for p in a.perceptions if not p.generic_labels):
+    if any(p not in b_set for p in a.perceptions if not pattern_labels(p.values)):
         return False
     target = TargetCase(tuple(
         Perception(q.name, tuple(concrete(v.name) if v.kind == "generic" else v

@@ -184,6 +184,11 @@ def cmd_bench(args) -> int:
         truth = {}
         if args.truth:
             truth = load_ground_truth(Path(args.truth).read_text(encoding="utf-8"))
+            known = {case.id for case in cases}
+            for tid in sorted(targets.keys() & truth.keys()):  # others are not scored
+                if truth[tid] - known:
+                    raise ContextError(f"target {tid!r} names case {min(truth[tid] - known)!r}, "
+                                       "which the base lacks", args.truth)
         if args.suite == "alpha":
             metric_rows = []
             for tid in sorted(targets):

@@ -104,10 +104,6 @@ class TreeNode:
     depth: int
     arcs: list["Arc"] = field(default_factory=list)
 
-    @property
-    def generic_labels(self) -> tuple[str, ...]:
-        return pattern_labels(self.values)
-
     def label(self) -> str:
         return f"{self.predicate}({','.join(str(v) for v in self.values)})"
 
@@ -479,7 +475,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             end(arc.below)
             continue
         if rows:  # not contradicted: every case below now has a longer prefix
-            tested = tested + ((node.depth, node.generic_labels, rows),)
+            tested = tested + ((node.depth, pattern_labels(node.values), rows),)
         seen = (node.depth + 1, tested)
         for cid in arc.below:
             record[cid] = seen

@@ -33,7 +33,8 @@ Snapshot text format (line oriented, UTF-8)::
     lastpass <0|1>
     player <id> <team> <x> <y> <hasball 0|1> <marked-by|-> <callball 0|1> <callsupport 0|1>
 
-Every record but ``player`` may appear at most once.
+Every record but ``player`` may appear at most once, and each has exactly
+the fields shown; a flag is ``0`` or ``1``.
 """
 
 from __future__ import annotations
@@ -305,6 +306,10 @@ def dump_snapshot(world: WorldSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIELDS = {"world": 1, "tick": 1, "field": 2, "ball": 2, "self": 1, "lastpass": 1, "player": 8}
+_FLAGS = {"0": False, "1": True}
+
+
 def load_snapshot(text: str) -> WorldSnapshot:
     wid, tick, last_pass = "snapshot", 0, False
     length, width = FIELD_LENGTH, FIELD_WIDTH
@@ -319,6 +324,11 @@ def load_snapshot(text: str) -> WorldSnapshot:
         parts = line.split()
         kind = parts[0]
         try:
+            count = _FIELDS.get(kind)
+            if count is None:
+                raise ValueError(f"unknown record {kind!r}")
+            if len(parts) != 1 + count:
+                raise ValueError(f"{kind!r} record has {len(parts) - 1} fields, expected {count}")
             if kind in kinds and kind != "player":
                 raise ValueError(f"second {kind!r} record")
             kinds.add(kind)
@@ -333,19 +343,19 @@ def load_snapshot(text: str) -> WorldSnapshot:
             elif kind == "self":
                 self_id = parts[1]
             elif kind == "lastpass":
-                last_pass = parts[1] not in ("0", "false")
-            elif kind == "player":
+                last_pass = _FLAGS[parts[1]]
+            else:  # player
                 players.append(Player(
                     pid=parts[1], team=parts[2],
                     x=float(parts[3]), y=float(parts[4]),
-                    has_ball=parts[5] == "1",
+                    has_ball=_FLAGS[parts[5]],
                     marked_by=None if parts[6] == "-" else parts[6],
-                    call_for_ball=parts[7] == "1",
-                    call_for_support=parts[8] == "1",
+                    call_for_ball=_FLAGS[parts[7]],
+                    call_for_support=_FLAGS[parts[8]],
                 ))
-            else:
-                raise ValueError(f"unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except KeyError as exc:  # a flag field that is neither 0 nor 1
+            raise ValueError(f"snapshot line {lineno}: flag {exc} is not 0 or 1") from None
+        except ValueError as exc:
             raise ValueError(f"snapshot line {lineno}: {exc}") from None
     if ball is None or self_id is None or not players:
         raise ValueError("snapshot needs ball, self and at least one player line")

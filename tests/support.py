@@ -12,6 +12,7 @@ import itertools
 import random
 
 import casetree as ct
+from casetree.cases import pattern_labels
 
 
 def substitute(perception, binding):
@@ -43,7 +44,7 @@ def brute_force_matches(source, target, allowed=None):
     target_set = set(target.perceptions)
     indices = sorted(range(len(source.perceptions)) if allowed is None else allowed)
     labels = tuple(dict.fromkeys(label for i in indices
-                                 for label in source.perceptions[i].generic_labels))
+                                 for label in pattern_labels(source.perceptions[i].values)))
     ids = sorted({v.name for p in target.perceptions for v in p.values
                   if v.kind == "concrete"})
     for binding in all_bindings(labels, ids):
@@ -72,7 +73,7 @@ def score_of(source, target, matched, alpha):
 
 def restricted(source, binding, matched):
     """The binding cut down to the labels that the matched perceptions use."""
-    used = {label for i in matched for label in source.perceptions[i].generic_labels}
+    used = {label for i in matched for label in pattern_labels(source.perceptions[i].values)}
     return ct.Substitution(tuple(pair for pair in binding.items() if pair[0] in used))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
+from casetree.cases import mask_weight
 from casetree.similarity import scored_unify
 from support import (
     brute_force_best_weight,
@@ -141,6 +142,17 @@ class TestParseCase:
     ], ids=["no-id", "value-without-val", "value-without-type", "choice-without-val",
             "no-choice", "no-priority", "caseBase-child", "case-child", "predicate-child"])
     def test_malformed_document_reports_message_and_path(self, small_ctx, doc, message, path):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_case_base(doc, small_ctx)
+        assert str(err.value) == f"{message} (at {path})"
+
+    @pytest.mark.parametrize("doc,message,path", [
+        (one_case(predicate='name="hasball" weight="heavy"'),
+         "weight 'heavy' is not a number", "case[@id='c']/predicate[1]"),
+        (one_case('<value val="Agent.1" type="Agent"/><choice val="true"/>'),
+         "case c: concrete agent Agent.1 in generic case", "case[@id='c']"),
+    ], ids=["weight-not-a-number", "concrete-agent"])
+    def test_invalid_value_reports_message_and_path(self, small_ctx, doc, message, path):
         with pytest.raises(ct.ContextError) as err:
             ct.parse_case_base(doc, small_ctx)
         assert str(err.value) == f"{message} (at {path})"
@@ -422,6 +434,26 @@ class TestInvariants:
         with pytest.raises(ct.CaseError):
             ct.TargetCase(perceptions=(P("hasball", [ct.generic("A")], True),))
 
+    def test_target_index_is_whole_when_the_constructor_returns(self):
+        # no lookup has been made: each perception's agent ids, keyed by its
+        # predicate, choice and per-argument shape
+        world = ct.generate_world(5, 22)
+        target = ct.elaborate(world, world.self_id, 120.0)
+        expected: dict = {}
+        for p in target.perceptions:
+            shape = tuple(None if v.kind == "concrete" else (v.kind, v.name) for v in p.values)
+            expected.setdefault((p.name, p.choice, shape), []).append(
+                tuple(v.name for v in p.values if v.kind == "concrete"))
+        assert vars(target)["_index"] == expected
+
+    def test_target_index_is_not_part_of_repr_eq_or_hash(self):
+        world = ct.generate_world(5, 6)
+        target = ct.elaborate(world, world.self_id, 120.0)
+        assert "_index" not in repr(target)
+        twin = ct.TargetCase(target.perceptions, target.origin)
+        object.__setattr__(twin, "_index", {})
+        assert twin == target and hash(twin) == hash(target)
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
     def test_generic_case_rejects_non_finite_weights(self, weight):
         with pytest.raises(ct.CaseError, match="non-finite"):
@@ -443,10 +475,17 @@ class TestInvariants:
         object.__setattr__(twin, "total_weight", 2.0)
         assert twin == case1 and hash(twin) == hash(case1)
 
+    def test_total_weight_is_mask_weight_over_every_index(self):
+        tenths = ct.GenericCase("tenths", tuple(P("partner", [ct.generic(f"A{i}")], True)
+                                                for i in range(10)), (0.1,) * 10)
+        for case in [tenths, *random_base(7, 40)]:
+            every = (1 << len(case.weights)) - 1
+            assert case.total_weight.hex() == mask_weight(case.weights, every)[0].hex(), case.id
+
     def test_generic_labels_are_sorted(self):
         # the column order of completion rows, whatever the order of appearance
         marked = P("markedBy", [ct.generic("B"), ct.generic("A")], True)
-        assert marked.generic_labels == ("A", "B")
+        assert ct.cases.pattern_labels(marked.values) == ("A", "B")
         case = ct.GenericCase("c", (P("partner", [ct.generic("C")], True), marked), (1.0, 1.0))
         assert case.generic_labels == ("A", "B", "C")
 

@@ -163,6 +163,16 @@ class TestRetrieve:
         assert captured.out == ""
         assert "world id 'same'" in captured.err
 
+    def test_retrieve_rejects_two_worlds(self, fixture_dir, capsys):
+        code = main(["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--world", str(fixture_dir / "w101n6.world"),
+                     "--world", str(fixture_dir / "w202n6.world")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "retrieve expects exactly one --world" in captured.err
+
     @pytest.mark.parametrize("engine, message", [
         ("tree", "oracle failed at "),
         ("linear", "evaluation failed on "),
@@ -272,6 +282,22 @@ class TestBench:
         assert code == 2
         assert "world id 'same'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("suite", ["alpha", "budget"])
+    def test_truth_naming_an_unknown_case_is_validation_failure(self, fixture_dir, tmp_path,
+                                                                capsys, suite):
+        truth, out = tmp_path / "truth.txt", tmp_path / "x.csv"
+        flags = ["bench", suite, "--ctx", str(fixture_dir / "football.ctx.xml"),
+                 "--base", str(fixture_dir / "bench50.cases.xml"),
+                 "--world", str(fixture_dir / "w101n6.world"), "--truth", str(truth),
+                 "--budgets", "0,2", "--reps", "1", "--out", str(out)]
+        truth.write_text("w101n6: c000,c999\n")
+        assert main(flags) == 2
+        assert "target 'w101n6' names case 'c999', which the base lacks" in capsys.readouterr().err
+        assert not out.exists()
+        # a line for a target no --world gives is not scored, so it is not checked
+        truth.write_text("w101n6: c000\nnosuchworld: c999\n")
+        assert main(flags) == 0
 
     def test_bench_requires_world_for_metric_suites(self, paths):
         out = paths["tmp"] / "x.csv"

@@ -98,6 +98,24 @@ class TestParseContext:
             ct.parse_context(doc)
         assert str(err.value) == f"{message} (at {path})"
 
+    @pytest.mark.parametrize("doc,message", [
+        ('<ctx><predicate name="p"><variable name="X" type="Agent"/>'
+         '<variable name="X" type="Ball"/><choice name="C" type="Boolean"/></predicate></ctx>',
+         "predicate 'p' repeats a parameter name"),
+        ('<ctx><predicate name="p"><variable name="X" type="Agent"/>'
+         '<choice name="X" type="Boolean"/></predicate></ctx>',
+         "predicate 'p' reuses 'X' for its choice"),
+    ], ids=["parameter", "choice"])
+    def test_repeated_variable_name_reports_path(self, doc, message):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_context(doc)
+        assert str(err.value) == f"{message} (at ctx/predicate[1])"
+
+    def test_wrong_root_element_rejected(self):
+        with pytest.raises(ct.ContextError) as err:
+            ct.parse_context("<caseBase/>")
+        assert str(err.value) == "expected <ctx> root, found <caseBase> (at caseBase)"
+
     def test_round_trip(self, small_ctx, football_ctx):
         for ctx in (small_ctx, football_ctx):
             assert ct.parse_context(ct.serialize_context(ctx)) == ctx

@@ -242,6 +242,10 @@ class TestFixtureFormats:
         with pytest.raises(ValueError, match="line 2: target 'w1' given twice"):
             ct.load_ground_truth("w1: a,b\nw1: c\n")
 
+    def test_ground_truth_skips_blank_and_comment_lines(self):
+        text = "# bench truth\n\nw1: a,b\n   \n  # w2: c\nw2: c\n"
+        assert ct.load_ground_truth(text) == {"w1": frozenset({"a", "b"}), "w2": frozenset({"c"})}
+
     def test_metric_csv_shape(self):
         row = ct.metrics({"a"}, {"a", "b"})
         from dataclasses import replace

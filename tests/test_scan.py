@@ -161,9 +161,9 @@ class TestTargetOracle:
                 == reference_completions(target, name, values, desired))
 
     def test_rows_do_not_depend_on_the_order_of_lookups(self):
-        # the index is built at the first lookup, whichever it is: two equal
-        # targets asked in opposite orders, one of them twice, give the
-        # per-perception matcher's rows
+        # the index is built with the target, so lookups leave it as it was:
+        # two equal targets asked in opposite orders, one of them twice, give
+        # the per-perception matcher's rows
         tree = ct.build_tree(random_base(3, 40, max_players=22), ct.FOOTBALL_PRIORITY)
         questions = [(arc.node.predicate, arc.node.values, arc.test)
                      for node in tree.iter_nodes() for arc in node.arcs]
@@ -492,8 +492,8 @@ class TestScanTree:
         assert concurrent == sequential
 
     def test_concurrent_scans_share_one_target(self):
-        # four threads scan one fresh target, whose index the first lookup
-        # builds, with a short switch interval; each ranking and each top-1
+        # four threads scan one fresh target, whose index its constructor
+        # built, with a short switch interval; each ranking and each top-1
         # answer equals a serial scan's, by repr
         tree = ct.build_tree(random_base(7, 40, max_players=10), ct.FOOTBALL_PRIORITY)
 

@@ -193,6 +193,57 @@ class TestSnapshotFormat:
         assert code == 2
         assert "second 'self' record" in capsys.readouterr().err
 
+    # w101n6.world lines: 6 is lastpass, 8 is Agent.2's player record
+    @pytest.mark.parametrize("old,new,lineno,flag", [
+        ("lastpass 1", "lastpass yes", 6, "yes"),
+        ("lastpass 1", "lastpass true", 6, "true"),
+        ("96.53 55.44 1 - 0 0", "96.53 55.44 yes - 0 0", 8, "yes"),
+        ("96.53 55.44 1 - 0 0", "96.53 55.44 1 - true 0", 8, "true"),
+        ("96.53 55.44 1 - 0 0", "96.53 55.44 1 - 0 2", 8, "2"),
+    ], ids=["lastpass-yes", "lastpass-true", "hasball", "callball", "callsupport"])
+    def test_flag_is_0_or_1(self, fixture_dir, old, new, lineno, flag):
+        text = (fixture_dir / "w101n6.world").read_text()
+        assert text.count(old) == 1
+        with pytest.raises(ValueError,
+                           match=f"snapshot line {lineno}: flag '{flag}' is not 0 or 1"):
+            ct.load_snapshot(text.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,lineno,kind,count,expected", [
+        ("world w101n6", "world w101n6 extra", 1, "world", 2, 1),
+        ("tick 0", "tick 0 1", 2, "tick", 2, 1),
+        ("field 100.0 60.0", "field 100.0", 3, "field", 1, 2),
+        ("ball 96.53 55.44", "ball 96.53 55.44 0.0", 4, "ball", 3, 2),
+        ("self Agent.1", "self Agent.1 Agent.2", 5, "self", 2, 1),
+        ("lastpass 1", "lastpass 1 0", 6, "lastpass", 2, 1),
+        ("96.53 55.44 1 - 0 0", "96.53 55.44 1 - 0 0 1", 8, "player", 9, 8),
+        ("96.53 55.44 1 - 0 0", "96.53 55.44 1 - 0", 8, "player", 7, 8),
+    ], ids=["world", "tick", "field", "ball", "self", "lastpass", "player-long",
+            "player-short"])
+    def test_field_count_is_exact(self, fixture_dir, old, new, lineno, kind, count, expected):
+        text = (fixture_dir / "w101n6.world").read_text()
+        assert text.count(old) == 1
+        with pytest.raises(ValueError, match=f"snapshot line {lineno}: '{kind}' record has "
+                                             f"{count} fields, expected {expected}"):
+            ct.load_snapshot(text.replace(old, new))
+
+    def test_unknown_record_rejected(self, fixture_dir):
+        text = (fixture_dir / "w101n6.world").read_text() + "goal teamA\n"
+        with pytest.raises(ValueError, match="snapshot line 13: unknown record 'goal'"):
+            ct.load_snapshot(text)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("lastpass 1", "lastpass yes", "flag 'yes' is not 0 or 1"),
+        ("96.53 55.44 1 - 0 0", "96.53 55.44 1 - 0 0 1", "'player' record has 9 fields"),
+    ], ids=["flag", "trailing-field"])
+    def test_retrieve_exits_2_on_a_lenient_field(self, fixture_dir, tmp_path, capsys,
+                                                 old, new, message):
+        world = tmp_path / "w101n6.world"
+        world.write_text((fixture_dir / "w101n6.world").read_text().replace(old, new))
+        code = main(["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"), "--world", str(world)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestWorldInvariants:
     def test_two_ball_owners_rejected(self):
@@ -210,6 +261,18 @@ class TestWorldInvariants:
         )
         with pytest.raises(ValueError):
             ct.WorldSnapshot(wid="w", players=players, ball=(1.0, 1.0), self_id="Agent.1")
+
+    @pytest.mark.parametrize("players,ball,self_id,message", [
+        ((Player("Agent.1", "teamA", 1.0, 1.0), Player("Agent.1", "teamB", 2.0, 2.0)),
+         (1.0, 1.0), "Agent.1", "duplicate player id"),
+        ((Player("Agent.1", "teamA", 1.0, 1.0),), (1.0, 1.0), "Agent.2",
+         "self 'Agent.2' is not a player"),
+        ((Player("Agent.1", "teamA", 1.0, 1.0),), (1.0, 61.0), "Agent.1",
+         "ball outside the field"),
+    ], ids=["duplicate-id", "self-not-a-player", "ball-outside"])
+    def test_inconsistent_snapshot_rejected(self, players, ball, self_id, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ct.WorldSnapshot(wid="w", players=players, ball=ball, self_id=self_id)
 
     def test_out_of_bounds_rejected(self):
         players = (Player("Agent.1", "teamA", -1.0, 1.0),)
