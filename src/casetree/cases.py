@@ -32,8 +32,9 @@ Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every injective way a perception pattern can be bound so that it occurs
 in the target, as rows of ids, from an index the target builds when it is
 constructed. ``_search_bindings`` finds a case's best injective binding by a
-bounded depth-first search over those rows: it is exact at every agent count
-and can be interrupted at every search node. Both follow one label order,
+bounded depth-first search over those rows, forward checking each
+perception's domain as a bitmask over its rows: it is exact at every agent
+count and can be interrupted at every search node. Both follow one label order,
 which ``pattern_labels`` owns: a row holds its ids in the sorted order of the
 pattern's generic labels, and the search decides labels in that order.
 ``unify`` and ``similarity.scored_unify`` run the search over every
@@ -272,6 +273,24 @@ def mask_weight(weights, mask: int) -> tuple[float, int]:
     return w, n
 
 
+def _row_masks(rows):
+    """Bitmasks over ``rows``, bit j standing for ``rows[j]``: per column, id
+    -> the rows holding it there; and id -> the rows holding it anywhere."""
+    has, bit = {}, 1
+    if len(rows[0]) == 1:  # one-label rows hold distinct single ids
+        for (cid,) in rows:
+            has[cid] = bit
+            bit <<= 1
+        return [has], has
+    at = [{} for _ in rows[0]]
+    for row in rows:
+        for column, cid in zip(at, row):
+            column[cid] = column.get(cid, 0) | bit
+            has[cid] = has.get(cid, 0) | bit
+        bit <<= 1
+    return at, has
+
+
 def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-math.inf):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
@@ -284,7 +303,7 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
     did, then binds the next label to each id it can still take, in ascending
     order, and last leaves the label unbound. At the last label the leaves
     are offered inside their parent, in ascending id order, from one pass over
-    its rows, and neither they nor the unbound child, which would offer
+    their domains, and neither they nor the unbound child, which would offer
     nothing, become nodes; nor does anything below a node with no perception
     left that can match. Candidates therefore come in the lexicographic order
     of their (label, id) pairs, so a node is cut as soon as its bound cannot
@@ -295,14 +314,18 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
 
     Each undecided perception keeps as its domain the rows that agree with
     the labels decided so far and give no other label a bound id (forward
-    checking); a node's bound adds every one whose domain is not empty to the
-    matched perceptions. Weights are summed by ``mask_weight``, for
-    candidates and bounds alike, so rounding cannot put a bound below a
-    candidate under it; ``objective`` must not decrease in either argument.
-    Returns (best_value, sorted (label, id) pairs, bitmask of the matched
-    indices), or None as soon as ``interrupted()`` holds at a node; it is
-    asked once per node, so the work of one node, its leaves' offers
-    included, still bounds how far a search overruns a stop.
+    checking), held as a bitmask over its rows; a node's bound adds every
+    one whose domain is not empty to the matched perceptions. The first node
+    to bind a label, the root, builds each perception's row masks, per id
+    and column and per id anywhere, so that a child keeps a domain with one
+    AND; a search that ends at its root builds none. Weights are summed by
+    ``mask_weight``, for candidates and bounds alike, so rounding cannot put
+    a bound below a candidate under it; ``objective`` must not decrease in
+    either argument. Returns (best_value, sorted (label, id) pairs, bitmask
+    of the matched indices), or None as soon as ``interrupted()`` holds at a
+    node; it is asked once per node, also when nothing is left to bind, so
+    the work of one node, its leaves' offers and the row masks included,
+    still bounds how far a search overruns a stop.
 
     A node is also cut when its bound cannot beat ``floor`` (branch and bound
     with an outside incumbent): the result is the same whenever the optimum
@@ -312,15 +335,18 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
     rank = {label: r for r, label in enumerate(labels)}
     matched = 0  # bitmask of the matched perceptions
     # per undecided perception: its bit, the ranks of its labels in ascending
-    # order, the position of its next undecided label, its domain as rows of
-    # ids in the same order, and the bitmask of its label ranks
+    # order, the position of its next undecided label, its domain as a bitmask
+    # over its rows (bit j stands for rows[j]), the bitmask of its label ranks,
+    # and its row masks (``_row_masks``); the root, until it binds a label,
+    # holds the rows and None in their place
     live = []
     for i, own, rows in perceptions:
         if rows and not own:
             matched |= 1 << i
         elif rows:
             ranks = [rank[label] for label in own]
-            live.append((1 << i, ranks, 0, rows, sum(1 << r for r in ranks)))
+            live.append((1 << i, ranks, 0, (1 << len(rows)) - 1, sum(1 << r for r in ranks),
+                         rows, None))
 
     values: dict[int, float] = {}
 
@@ -331,6 +357,8 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
         return found
 
     best = value(matched), (), matched
+    if not live:  # nothing to bind: the root's value, asked for once as a node
+        return None if interrupted is not None and interrupted() else best
     cut = max(best[0], floor)  # a node whose bound is no higher is cut
     last = len(labels) - 1
     # nodes still to visit, the next one last: (rank of the next label to
@@ -348,7 +376,7 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
         if not live:  # no candidate below matches more
             continue
         bound, reach = matched, covered
-        for bit, _, _, _, ranks in live:
+        for bit, _, _, _, ranks, _, _ in live:
             bound, reach = bound | bit, reach | ranks
         # cut, and also when a bound label is in no perception that matches or
         # still can: no candidate below is then a restricted substitution
@@ -358,10 +386,17 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
             # every undecided perception waits on this label alone: offer each
             # id's leaf here, in ascending order, as popping them would
             leaves: dict[str, tuple[int, int]] = {}  # id -> (matched, covered) it adds
-            for bit, _, k, domain, ranks in live:
-                for row in domain:
-                    bits, used = leaves.get(row[k], (0, 0))
-                    leaves[row[k]] = bits | bit, used | ranks
+            if r:  # below the root, the ids of each column whose rows dom keeps
+                for bit, _, k, dom, ranks, at, _ in live:
+                    for cid, where in at[k].items():
+                        if dom & where:
+                            bits, used = leaves.get(cid, (0, 0))
+                            leaves[cid] = bits | bit, used | ranks
+            else:  # the root's domains are whole: read its rows
+                for bit, _, k, _, ranks, rows, _ in live:
+                    for row in rows:
+                        bits, used = leaves.get(row[k], (0, 0))
+                        leaves[row[k]] = bits | bit, used | ranks
             held |= 1 << r
             for cid in sorted(leaves):
                 bits, used = leaves[cid]
@@ -370,19 +405,23 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
                     best = value(now_matched), pairs + ((labels[r], cid),), now_matched
                     cut = max(best[0], floor)
             continue
+        if not r:  # the root is the first node to bind a label
+            live = [(bit, own, k, dom, ranks, *_row_masks(rows))
+                    for bit, own, k, dom, ranks, rows, _ in live]
         stack.append((r + 1, pairs, held, covered, matched,
                       [e for e in live if e[1][e[2]] != r], False))
-        ids = {row[k] for _, own, k, domain, _ in live if own[k] == r for row in domain}
+        ids = {cid for _, own, k, dom, _, at, _ in live if own[k] == r
+               for cid, where in at[k].items() if dom & where}
         for cid in sorted(ids, reverse=True):
             grown, now_covered, now_matched = [], covered, matched
-            for bit, own, k, domain, ranks in live:
+            for bit, own, k, dom, ranks, at, has in live:
                 if own[k] == r:
-                    domain, k = [row for row in domain if row[k] == cid], k + 1
+                    dom, k = dom & at[k].get(cid, 0), k + 1
                 else:
-                    domain = [row for row in domain if cid not in row]
-                if domain and k < len(own):
-                    grown.append((bit, own, k, domain, ranks))
-                elif domain:
+                    dom &= ~has.get(cid, 0)
+                if dom and k < len(own):
+                    grown.append((bit, own, k, dom, ranks, at, has))
+                elif dom:
                     now_covered, now_matched = now_covered | ranks, now_matched | bit
             stack.append((r + 1, pairs + ((labels[r], cid),), held | 1 << r, now_covered,
                           now_matched, grown, True))

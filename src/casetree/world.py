@@ -34,7 +34,7 @@ Snapshot text format (line oriented, UTF-8)::
     player <id> <team> <x> <y> <hasball 0|1> <marked-by|-> <callball 0|1> <callsupport 0|1>
 
 Every record but ``player`` may appear at most once, and each has exactly
-the fields shown; a flag is ``0`` or ``1``.
+the fields shown; a flag is ``0`` or ``1``, and a team ``teamA`` or ``teamB``.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ class WorldSnapshot:
             raise ValueError(f"more than one ball owner: {owners}")
         by_id = {p.pid: p for p in self.players}
         for p in self.players:
+            if p.team not in TEAMS:
+                raise ValueError(f"{p.pid} plays for unknown team {p.team!r}")
             if not (0 <= p.x <= self.field_length and 0 <= p.y <= self.field_width):
                 raise ValueError(f"{p.pid} outside the field")
             if p.marked_by is not None:

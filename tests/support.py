@@ -12,7 +12,7 @@ import itertools
 import random
 
 import casetree as ct
-from casetree.cases import pattern_labels
+from casetree.cases import mask_weight, pattern_labels
 
 
 def substitute(perception, binding):
@@ -54,6 +54,29 @@ def brute_force_matches(source, target, allowed=None):
             and inst in target_set
         )
         yield matched, binding
+
+
+def brute_force_search(weights, perceptions, objective):
+    """What ``cases._search_bindings`` must return for the same arguments:
+    over every injective binding of the labels of the perceptions with rows,
+    each cut down to the labels its matched perceptions use, the best
+    objective, the least (label, id) pairs among the bindings reaching it,
+    and the bitmask of the perceptions that binding matches."""
+    labels = sorted({label for _, own, rows in perceptions if rows for label in own})
+    ids = sorted({i for _, _, rows in perceptions for row in rows for i in row})
+    best = None
+    for binding in all_bindings(labels, ids):
+        mask = 0
+        for i, own, rows in perceptions:
+            if None not in map(binding.get, own) and tuple(map(binding.get, own)) in rows:
+                mask |= 1 << i
+        pairs = tuple(sorted({(label, binding[label]) for i, own, _ in perceptions
+                              if mask >> i & 1 for label in own}))
+        candidate = objective(*mask_weight(weights, mask)), pairs, mask
+        if best is None or candidate[0] > best[0] or (
+                candidate[0] == best[0] and candidate[1] < best[1]):
+            best = candidate
+    return best
 
 
 def brute_force_best_weight(source, target):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from functools import reduce
 from operator import add
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.cases import mask_weight
-from casetree.similarity import scored_unify
+from casetree.cases import _search_bindings, mask_weight
+from casetree.similarity import partial_score, scored_unify
 from support import (
     brute_force_best_weight,
     brute_force_equivalent,
     brute_force_optimum,
+    brute_force_search,
     random_base,
     random_target,
     sample_case,
@@ -582,3 +584,79 @@ class TestLargeTargets:
         assert score == pytest.approx(want_score, abs=1e-12)
         assert sub == want_sub
         assert matched == frozenset(want_matched)
+
+
+@st.composite
+def search_inputs(draw):
+    """Arguments for ``_search_bindings``: 1-5 perceptions, each with 0-3
+    labels from a pool of at most 4 and unique rows of that width over at
+    most 6 ids shared by all, weights that include 0, an objective with
+    alpha 0 or 0.5, and a floor of -inf or a random value."""
+    pool = "ABCD"[:draw(st.integers(1, 4))]
+    ids = [f"Agent.{i}" for i in range(1, draw(st.integers(1, 6)) + 1)]
+    n = draw(st.integers(1, 5))
+    perceptions = []
+    for i in range(n):
+        own = tuple(sorted(draw(st.sets(st.sampled_from(pool), max_size=min(3, len(pool))))))
+        if len(own) > len(ids):
+            rows = []
+        else:
+            rows = sorted(draw(st.lists(st.permutations(ids).map(lambda p: tuple(p[:len(own)])),
+                                        unique=True, max_size=6)))
+        perceptions.append((i, own, rows))
+    weights = tuple(draw(st.lists(st.sampled_from((0.0, 0.3, 0.7, 1.0, 2.5)),
+                                  min_size=n, max_size=n)))
+    total = mask_weight(weights, (1 << n) - 1)[0] or 1.0
+    alpha = draw(st.sampled_from((0.0, 0.5)))
+    size = n + draw(st.integers(0, 3))
+    floor = draw(st.one_of(st.just(-math.inf), st.floats(0.0, 1.0)))
+    return weights, perceptions, lambda w, m: partial_score(w, m, total, size, alpha), floor
+
+
+def stops_at(k):
+    """An interrupt flag that first holds at its ``k``-th question, and the
+    list of the questions' ordinals."""
+    asked = []
+
+    def interrupted():
+        asked.append(len(asked) + 1)
+        return len(asked) >= k
+    return interrupted, asked
+
+
+class TestSearchBindings:
+    """The binding search, called directly on synthesized rows."""
+
+    @given(search_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, inputs):
+        weights, perceptions, objective, floor = inputs
+        want = brute_force_search(weights, perceptions, objective)
+        got = _search_bindings(weights, perceptions, objective, None, floor)
+        if want[0] > floor:
+            assert got == want
+        else:
+            assert got[0] <= floor
+
+    @given(search_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_stops_at_every_question(self, inputs):
+        weights, perceptions, objective, floor = inputs
+        never, asked = stops_at(math.inf)
+        assert _search_bindings(weights, perceptions, objective, never, floor) is not None
+        for k in range(1, len(asked) + 1):
+            flag, seen = stops_at(k)
+            assert _search_bindings(weights, perceptions, objective, flag, floor) is None
+            assert len(seen) == k
+
+    def test_nothing_to_bind_still_asks_once(self):
+        # a ground perception that matches, one that does not, and one whose
+        # labels have no rows: no label is left to bind
+        perceptions = [(0, (), [()]), (1, (), []), (2, ("A",), [])]
+        never, asked = stops_at(math.inf)
+        assert _search_bindings((1.0, 1.0, 1.0), perceptions, lambda w, n: w,
+                                never) == (1.0, (), 1)
+        assert asked == [1]
+        flag, asked = stops_at(1)
+        assert _search_bindings((1.0, 1.0, 1.0), perceptions, lambda w, n: w, flag) is None
+        assert asked == [1]

@@ -244,6 +244,18 @@ class TestSnapshotFormat:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_unknown_team_rejected(self, fixture_dir, tmp_path, capsys):
+        text = (fixture_dir / "w101n6.world").read_text()
+        assert text.count(" teamB ") == 3
+        world = tmp_path / "w101n6.world"
+        world.write_text(text.replace(" teamB ", " teamC "))
+        with pytest.raises(ValueError, match="^Agent.4 plays for unknown team 'teamC'$"):
+            ct.load_snapshot(world.read_text())
+        code = main(["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"), "--world", str(world)])
+        assert code == 2
+        assert "Agent.4 plays for unknown team 'teamC'" in capsys.readouterr().err
+
 
 class TestWorldInvariants:
     def test_two_ball_owners_rejected(self):
@@ -269,7 +281,9 @@ class TestWorldInvariants:
          "self 'Agent.2' is not a player"),
         ((Player("Agent.1", "teamA", 1.0, 1.0),), (1.0, 61.0), "Agent.1",
          "ball outside the field"),
-    ], ids=["duplicate-id", "self-not-a-player", "ball-outside"])
+        ((Player("Agent.1", "teamA", 1.0, 1.0), Player("Agent.2", "teamC", 2.0, 2.0)),
+         (1.0, 1.0), "Agent.1", "Agent.2 plays for unknown team 'teamC'"),
+    ], ids=["duplicate-id", "self-not-a-player", "ball-outside", "unknown-team"])
     def test_inconsistent_snapshot_rejected(self, players, ball, self_id, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ct.WorldSnapshot(wid="w", players=players, ball=ball, self_id=self_id)
