@@ -357,8 +357,6 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
         return found
 
     best = value(matched), (), matched
-    if not live:  # nothing to bind: the root's value, asked for once as a node
-        return None if interrupted is not None and interrupted() else best
     cut = max(best[0], floor)  # a node whose bound is no higher is cut
     last = len(labels) - 1
     # nodes still to visit, the next one last: (rank of the next label to
