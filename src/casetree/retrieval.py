@@ -9,6 +9,8 @@ node/test labels spell out its perceptions in descending priority order;
 Cases with a common high-priority prefix share nodes, which is where the
 memory saving and the shared query work come from. Each arc lists, in base
 order, the cases below it and those ending at it, and their most perceptions.
+Each arc states its node's pattern, so a tree holds no reference cycle and a
+dropped tree is freed at once, with nothing left for the cycle collector.
 
 Retrieval walks the tree under a budget. Each arc test costs one comparison
 and asks the oracle for every injective way the node's free generic agents
@@ -97,20 +99,25 @@ class RetrievalError(RuntimeError):
 # ---------------------------------------------------------------------------
 # tree structure
 
-@dataclass(eq=False)
+def _pattern_label(predicate: str, values: tuple[Value, ...]) -> str:
+    return f"{predicate}({','.join(str(v) for v in values)})"
+
+
+@dataclass(eq=False, slots=True)
 class TreeNode:
     predicate: str
     values: tuple[Value, ...]
-    depth: int
     arcs: list["Arc"] = field(default_factory=list)
 
     def label(self) -> str:
-        return f"{self.predicate}({','.join(str(v) for v in self.values)})"
+        return _pattern_label(self.predicate, self.values)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Arc:
-    node: "TreeNode"
+    predicate: str  # its node's pattern and branch position: nothing points back up
+    values: tuple[Value, ...]
+    depth: int
     test: bool | str
     children: list["TreeNode"] = field(default_factory=list)
     below: list[str] = field(default_factory=list)  # cases whose branch takes it, base order
@@ -120,7 +127,8 @@ class Arc:
 
 @dataclass(eq=False)
 class CaseTree:
-    """Immutable after build_tree; shareable across concurrent scans."""
+    """Immutable after build_tree; shareable across concurrent scans. Each arc
+    states its node's pattern: no reference cycle, so a dropped tree is freed at once."""
 
     roots: list[TreeNode]
     cases: dict[str, GenericCase]
@@ -155,7 +163,7 @@ class CaseTree:
     def path_perceptions(self, case_id: str) -> tuple[Perception, ...]:
         """Read a case's perceptions back off its branch, in priority order."""
         return tuple(
-            Perception(arc.node.predicate, arc.node.values, arc.test)
+            Perception(arc.predicate, arc.values, arc.test)
             for arc in self.paths[case_id]
         )
 
@@ -177,37 +185,40 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
     rank = {name: i for i, name in enumerate(priority)}
 
     for case in base:
-        if case.id in cases:
-            raise TreeError(f"duplicate case id {case.id!r}")
-        cases[case.id] = case
+        cid, perceptions = case.id, case.perceptions
+        if cid in cases:
+            raise TreeError(f"duplicate case id {cid!r}")
+        cases[cid] = case
         nodes = roots
         path: list[Arc] = []
         try:
-            ranks = [rank[p.name] for p in case.perceptions]
+            ranks = [rank[p.name] for p in perceptions]
         except KeyError as exc:
             raise TreeError(f"predicate {exc.args[0]!r} missing from the priority order") from None
-        orders[case.id] = order = tuple(sorted(range(len(ranks)), key=ranks.__getitem__))
-        for pos, idx in enumerate(order):
-            p = case.perceptions[idx]
+        orders[cid] = order = tuple(sorted(range(len(ranks)), key=ranks.__getitem__))
+        most = len(order)
+        for depth, idx in enumerate(order):
+            p = perceptions[idx]
+            name, values, choice = p.name, p.values, p.choice
             for node in nodes:
-                if node.predicate == p.name and node.values == p.values:
+                if node.predicate == name and node.values == values:
                     break
             else:
-                node = TreeNode(p.name, p.values, depth=pos)
+                node = TreeNode(name, values)
                 nodes.append(node)
             for arc in node.arcs:
-                if arc.test == p.choice:
+                if arc.test == choice:
                     break
             else:
-                arc = Arc(node, p.choice)
+                arc = Arc(node.predicate, node.values, depth, choice)
                 node.arcs.append(arc)
-            arc.below.append(case.id)
-            if arc.most < len(order):
-                arc.most = len(order)
+            arc.below.append(cid)
+            if arc.most < most:
+                arc.most = most
             path.append(arc)
             nodes = arc.children
-        path[-1].ends.append(case.id)  # every case has a perception
-        paths[case.id] = tuple(path)
+        path[-1].ends.append(cid)  # every case has a perception
+        paths[cid] = tuple(path)
     return CaseTree(roots=roots, cases=cases, paths=paths, order=orders)
 
 
@@ -464,19 +475,20 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             continue
         if interrupted is not None and interrupted():
             break
-        node, rows = arc.node, None
+        rows = None
         if tests_used != limit and failure is None:
             tests_used += 1
             try:
-                rows = oracle.completions(node.predicate, node.values, arc.test)
+                rows = oracle.completions(arc.predicate, arc.values, arc.test)
             except Exception as exc:  # search what was tested, then raise
-                failure = f"oracle failed at {node.label()}=[{arc.test}]: {exc}", exc
+                label = _pattern_label(arc.predicate, arc.values)
+                failure = f"oracle failed at {label}=[{arc.test}]: {exc}", exc
         if rows is None:  # the budget is spent or the oracle failed: walks are over
             end(arc.below)
             continue
         if rows:  # not contradicted: every case below now has a longer prefix
-            tested = tested + ((node.depth, pattern_labels(node.values), rows),)
-        seen = (node.depth + 1, tested)
+            tested = tested + ((arc.depth, pattern_labels(arc.values), rows),)
+        seen = (arc.depth + 1, tested)
         for cid in arc.below:
             record[cid] = seen
         if prune and not rows:  # a contradiction ends every walk below

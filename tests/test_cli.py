@@ -190,6 +190,18 @@ class TestRetrieve:
         assert err.startswith(f"casetree: {message}")
         assert err.endswith(": context box went away\n")
 
+    def test_oracle_failure_message_in_full(self, fixture_dir, capsys, monkeypatch):
+        def fail(self, name, values, desired):
+            raise ConnectionError("context box went away")
+
+        monkeypatch.setattr(ct.TargetCase, "completions", fail)
+        code = main(["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--world", str(fixture_dir / "w202n6.world")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "casetree: oracle failed at hasBall(me)=[False]: context box went away\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--self", "Agent.99"], "observer 'Agent.99' is not a player"),
         (["--radius", "nan"], "radius"),

@@ -165,7 +165,7 @@ class TestTargetOracle:
         # two equal targets asked in opposite orders, one of them twice, give
         # the per-perception matcher's rows
         tree = ct.build_tree(random_base(3, 40, max_players=22), ct.FOOTBALL_PRIORITY)
-        questions = [(arc.node.predicate, arc.node.values, arc.test)
+        questions = [(arc.predicate, arc.values, arc.test)
                      for node in tree.iter_nodes() for arc in node.arcs]
         questions += [("hasBall", (ct.ME,), "long"), ("ratio", (ct.generic("A"),), "even")]
         assert len({(name, test) for name, _, test in questions}) > 10
@@ -399,6 +399,23 @@ class TestScanTree:
             assert ((partial.best_case, partial.score, partial.substitution)
                     == (three.best_case, three.score, three.substitution))
 
+    def test_oracle_failure_states_the_arc_in_full(self, three_case_base, exact_case1_target):
+        # the message spells out the failing arc's node pattern and tested value
+        cases, priority = three_case_base
+        tree = ct.build_tree(cases, priority)
+
+        class DistanceFails(ct.TargetOracle):
+            def completions(self, name, values, desired):
+                if name == "distance":
+                    raise ConnectionError("context box went away")
+                return super().completions(name, values, desired)
+
+        for cancel in (None, threading.Event()):
+            with pytest.raises(ct.RetrievalError) as err:
+                ct.scan_tree(tree, DistanceFails(exact_case1_target), prune=False, cancel=cancel)
+            assert str(err.value) == (
+                "oracle failed at distance(ball,?A)=[long]: context box went away"), cancel
+
     @pytest.mark.parametrize("which", ["three", "random"])
     def test_each_case_is_searched_once_unless_a_stop_can_interrupt(
             self, monkeypatch, three_case_base, exact_case1_target, which):
@@ -596,7 +613,7 @@ class TestScanTree:
                          cancel=threading.Event() if cancel else None)
 
         def question(arc):
-            return arc.node.predicate, arc.node.values, arc.test
+            return arc.predicate, arc.values, arc.test
 
         # the arcs tested are the first ``scanned`` of each case's branch
         tested = {arc for cid, oc in r.per_case.items() for arc in tree.paths[cid][:oc.scanned]}
@@ -693,7 +710,7 @@ class TestScanTree:
             # ones unless a contradiction ended its walk
             order, branch = tree.order[case.id], tree.paths[case.id]
             positions = [i for i, arc in zip(order, branch[:oc.scanned])
-                         if oracle.completions(arc.node.predicate, arc.node.values, arc.test)]
+                         if oracle.completions(arc.predicate, arc.values, arc.test)]
             if not oc.pruned:
                 positions += order[oc.scanned:]
             bound = objective(case, len(target), params)(
@@ -791,7 +808,7 @@ class TestScanTree:
             for cid, oc in r.per_case.items():
                 branch = tree.paths[cid]
                 if oc.pruned or oc.scanned == len(branch):
-                    if any(oracle.completions(arc.node.predicate, arc.node.values, arc.test)
+                    if any(oracle.completions(arc.predicate, arc.values, arc.test)
                            for arc in branch[:oc.scanned]):
                         return True
             return False

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
+import random
 from collections import Counter
 
 import pytest
 
 import casetree as ct
-from support import random_base
+from support import random_base, sample_case
 
 
 class TestBuildTree:
@@ -159,3 +161,30 @@ class TestTreeValidity:
                 first[key] = case.id
             if shared:
                 assert tree.node_count < lin
+
+
+class TestTreeLifetime:
+    def test_a_dropped_tree_is_not_cyclic_garbage(self, fixture_dir, football_ctx):
+        """Nothing in a tree points back up, so reference counting frees a
+        dropped tree at once and the cycle collector finds nothing of it."""
+        bench50 = ct.parse_case_base((fixture_dir / "bench50.cases.xml").read_text(),
+                                     football_ctx)
+        world = ct.generate_world(6, 22)
+        target = ct.elaborate(world, world.self_id, radius=120.0, ctx=football_ctx)
+        rng = random.Random(6)
+        pitch = ([sample_case(rng, target, football_ctx, f"c{i:03d}") for i in range(100)],
+                 ct.FOOTBALL_PRIORITY)
+
+        def build_and_drop(base, priority) -> int:
+            return ct.build_tree(base, priority).node_count
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for base, priority in (bench50, pitch):
+                assert build_and_drop(base, priority) > len(base)
+                assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
