@@ -46,6 +46,7 @@ from .evaluation import (
     format_ground_truth,
     format_memory_csv,
     format_metric_csv,
+    format_retrieve_csv,
     load_ground_truth,
     memory_curve,
     metrics,

@@ -17,6 +17,7 @@ from .context import ContextError, parse_context
 from .evaluation import (
     format_memory_csv,
     format_metric_csv,
+    format_retrieve_csv,
     load_ground_truth,
     memory_curve,
     sweep_alpha,
@@ -34,8 +35,6 @@ from .retrieval import (
 )
 from .similarity import SimilarityParams
 from .world import DEFAULT_RADIUS, elaborate, load_snapshot
-
-RETRIEVE_CSV_HEADER = "case,score,scanned,pruned,evaluated,substitution,best"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,16 +159,7 @@ def cmd_retrieve(args) -> int:
           f"tests={result.tests_used}")
 
     if args.out:
-        lines = [RETRIEVE_CSV_HEADER]
-        for cid in sorted(result.per_case):
-            oc = result.per_case[cid]
-            lines.append(",".join([
-                cid, f"{oc.score:.6f}", str(oc.scanned),
-                str(int(oc.pruned)), str(int(oc.evaluated)),
-                str(oc.substitution) or "-",
-                "1" if cid == result.best_case else "0",
-            ]))
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(format_retrieve_csv(result), encoding="utf-8")
     return 0
 
 

@@ -25,14 +25,17 @@ column is therefore always written as 0, wall time being inherently noisy.
 
 from __future__ import annotations
 
+import csv
 import random
 from dataclasses import dataclass, replace
 from statistics import fmean
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from .cases import GenericCase, TargetCase, case_equivalent
 from .retrieval import (
     CaseTree,
+    RetrievalResult,
     ScanBudget,
     TargetOracle,
     UNBOUNDED,
@@ -45,6 +48,7 @@ from .similarity import DEFAULT_PARAMS, SimilarityParams, similarity
 METRIC_CSV_HEADER = ("target,alpha,budget,engine,recall,precision,"
                      "n_correct,n_false,n_missed,th_t,tests_used,elapsed_us")
 MEMORY_CSV_HEADER = "cases,linear_perceptions,tree_nodes"
+RETRIEVE_CSV_HEADER = "case,score,scanned,pruned,evaluated,substitution,best"
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,17 @@ def load_ground_truth(text: str) -> dict[str, frozenset[str]]:
 
 
 def format_ground_truth(truth: Mapping[str, Iterable[str]]) -> str:
-    lines = [f"{tid}: {','.join(sorted(truth[tid]))}" for tid in sorted(truth)]
+    """One ``target-id: case-id,...`` line per target, both sorted. Raises
+    ValueError for an id that ``load_ground_truth`` cannot give back: an
+    empty id, one with surrounding whitespace or a line break, a target id
+    holding ``:`` or starting with ``#``, or a case id holding ``,``."""
+    lines = []
+    for tid in sorted(truth):
+        ids = sorted(truth[tid])
+        for x, bad in ((tid, ":" in tid or tid.startswith("#")), *((c, "," in c) for c in ids)):
+            if bad or x != x.strip() or x.splitlines() != [x]:
+                raise ValueError(f"ground truth cannot hold id {x!r}")
+        lines.append(f"{tid}: {','.join(ids)}")
     return "\n".join(lines) + "\n"
 
 
@@ -236,28 +250,33 @@ def _fmt_count(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:.4f}"
 
 
+def _csv_text(header: str, rows: Iterable[Sequence[object]]) -> str:
+    """The header line, then one line per row. A field holding a comma, a
+    quote or a line break is quoted, and ``None`` is empty. csv.writer hands
+    over one record per ``write``; its ``"\r\n"`` terminator, cut here,
+    makes it quote a lone ``"\r"`` as well."""
+    lines = [header]
+    sink = SimpleNamespace(write=lambda record: lines.append(record[:-2]))
+    csv.writer(sink, lineterminator="\r\n").writerows(rows)
+    return "\n".join(lines) + "\n"
+
+
 def format_metric_csv(rows: Sequence[MetricRow]) -> str:
     """Render rows under the fixed header, newline-terminated, deterministic."""
-    out = [METRIC_CSV_HEADER]
-    for r in rows:
-        out.append(",".join([
-            r.target,
-            f"{r.alpha:g}",
-            "" if r.budget is None else str(r.budget),
-            r.engine,
-            f"{r.recall:.6f}",
-            f"{r.precision:.6f}",
-            _fmt_count(r.n_correct),
-            _fmt_count(r.n_false),
-            _fmt_count(r.n_missed),
-            "" if r.th_t is None else f"{r.th_t:.6f}",
-            _fmt_count(r.tests_used),
-            "0",
-        ]))
-    return "\n".join(out) + "\n"
+    return _csv_text(METRIC_CSV_HEADER, ([
+        r.target, f"{r.alpha:g}", r.budget, r.engine, f"{r.recall:.6f}", f"{r.precision:.6f}",
+        _fmt_count(r.n_correct), _fmt_count(r.n_false), _fmt_count(r.n_missed),
+        None if r.th_t is None else f"{r.th_t:.6f}", _fmt_count(r.tests_used), 0,
+    ] for r in rows))
 
 
 def format_memory_csv(rows: Sequence[tuple[int, int, int]]) -> str:
-    out = [MEMORY_CSV_HEADER]
-    out.extend(f"{n},{lin},{tree}" for n, lin, tree in rows)
-    return "\n".join(out) + "\n"
+    return _csv_text(MEMORY_CSV_HEADER, rows)
+
+
+def format_retrieve_csv(result: RetrievalResult) -> str:
+    """One row per case, in case-id order; substitution ``-`` when empty."""
+    return _csv_text(RETRIEVE_CSV_HEADER, ([
+        cid, f"{oc.score:.6f}", oc.scanned, int(oc.pruned), int(oc.evaluated),
+        str(oc.substitution) or "-", int(cid == result.best_case),
+    ] for cid, oc in sorted(result.per_case.items())))

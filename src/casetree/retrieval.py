@@ -183,6 +183,9 @@ def build_tree(base: Sequence[GenericCase], priority: Sequence[str]) -> CaseTree
     paths: dict[str, tuple[Arc, ...]] = {}
     orders: dict[str, tuple[int, ...]] = {}
     rank = {name: i for i, name in enumerate(priority)}
+    if len(rank) < len(priority):
+        twice = next(name for i, name in enumerate(priority) if name in priority[:i])
+        raise TreeError(f"priority order names predicate {twice!r} twice")
 
     for case in base:
         cid, perceptions = case.id, case.perceptions

@@ -299,6 +299,12 @@ class TestGeneralize:
         labels = {v.name for p in case.perceptions for v in p.values if v.kind == "generic"}
         assert labels == {"A"}
 
+    def test_agents_past_the_label_pool_are_numbered(self):
+        t = target(*(P("partner", [ct.concrete(f"Agent.{i}")], True) for i in range(28)))
+        case = ct.generalize(t, action="pass")
+        labels = [p.values[0].name for p in case.perceptions]
+        assert labels == [*"ABCDEFGHIJKLMNOPQRSTUVWXYZ", "G26", "G27"]
+
     def test_me_is_preserved(self):
         t = target(P("hasball", [ct.ME], False))
         case = ct.generalize(t, action="wait")
@@ -431,6 +437,11 @@ class TestInvariants:
     def test_generic_case_rejects_concrete_agents(self):
         with pytest.raises(ct.CaseError):
             ct.GenericCase("bad", (P("hasball", [ct.concrete("Agent.1")], True),), (1.0,))
+
+    def test_generic_case_rejects_more_weights_than_perceptions(self):
+        with pytest.raises(ct.CaseError) as err:
+            ct.GenericCase("c", (P("hasball", [ct.ME], True),), (1.0, 1.0))
+        assert str(err.value) == "case c: 2 weights for 1 perceptions"
 
     def test_target_rejects_generic_agents(self):
         with pytest.raises(ct.CaseError):

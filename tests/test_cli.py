@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 import casetree as ct
@@ -27,6 +29,11 @@ def paths(fixture_dir, tmp_path):
         "world": str(world_path),
         "tmp": tmp_path,
     }
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
 
 
 def same_id_worlds(fixture_dir, tmp_path):
@@ -73,6 +80,27 @@ class TestBuild:
         code = main(["build", "--ctx", paths["ctx"], "--base", str(bad)])
         assert code == 2
         assert "non-finite weight" in capsys.readouterr().err
+
+    def test_priority_naming_a_predicate_twice_is_validation_failure(self, paths, fixture_dir,
+                                                                     tmp_path, capsys):
+        bad = tmp_path / "twice.xml"
+        text = (fixture_dir / "three.cases.xml").read_text()
+        bad.write_text(text.replace("<priority>hasball,partner,distance</priority>",
+                                    "<priority>hasball,partner,distance,hasball</priority>"))
+        code = main(["build", "--ctx", paths["ctx"], "--base", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "casetree: priority order names predicate 'hasball' twice\n"
+
+    def test_unexpected_exception_is_runtime_failure(self, paths, capsys, monkeypatch):
+        def fail(cases, priority):
+            raise RuntimeError("tree went away")
+
+        monkeypatch.setattr("casetree.cli.build_tree", fail)
+        code = main(["build", "--ctx", paths["ctx"], "--base", paths["base"]])
+        assert code == 3
+        assert capsys.readouterr().err == "casetree: RuntimeError: tree went away\n"
 
     def test_missing_file_is_validation_failure(self, paths):
         assert main(["build", "--ctx", paths["ctx"], "--base", "/no/such.xml"]) == 2
@@ -133,6 +161,24 @@ class TestRetrieve:
         lines = out1.read_text().splitlines()
         assert lines[0] == "case,score,scanned,pruned,evaluated,substitution,best"
         assert len(lines) == 4
+
+    def test_out_quotes_a_case_id_holding_a_comma(self, fixture_dir, tmp_path, capsys):
+        flags = ["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                 "--world", str(fixture_dir / "w202n6.world")]
+        base = tmp_path / "comma.cases.xml"
+        base.write_text((fixture_dir / "bench50.cases.xml").read_text()
+                        .replace('<case id="c000"', '<case id="c0,00"', 1))
+        plain, comma = tmp_path / "plain.csv", tmp_path / "comma.csv"
+        assert main([*flags, "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--out", str(plain)]) == 0
+        assert main([*flags, "--base", str(base), "--out", str(comma)]) == 0
+        capsys.readouterr()
+        rows = read_csv(comma)
+        assert len(rows) == 51 and all(len(r) == 7 for r in rows)
+        # ',' sorts before '0', so the renamed case keeps its place
+        assert rows[1][0] == "c0,00"
+        assert comma.read_text().splitlines()[1].startswith('"c0,00",')
+        assert rows[2:] == read_csv(plain)[2:] and rows[1][1:] == read_csv(plain)[1][1:]
 
     def test_deadline_budget_mode(self, paths, capsys):
         code = main([
@@ -227,6 +273,21 @@ class TestBench:
         assert f"wrote {out} rows=3" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[-1] == "3,8,5"
+
+    def test_alpha_suite_quotes_a_world_id_holding_a_comma(self, fixture_dir, tmp_path,
+                                                            capsys):
+        world = tmp_path / "comma.world"
+        world.write_text((fixture_dir / "w101n6.world").read_text()
+                         .replace("world w101n6\n", "world w,1\n", 1))
+        out = tmp_path / "alpha.csv"
+        code = main(["bench", "alpha", "--ctx", str(fixture_dir / "football.ctx.xml"),
+                     "--base", str(fixture_dir / "bench50.cases.xml"),
+                     "--world", str(world), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out} rows=5\n"
+        rows = read_csv(out)
+        assert len(rows) == 6 and all(len(r) == 12 for r in rows)
+        assert [r[0] for r in rows[1:]] == ["w,1"] * 5
 
     def test_alpha_suite_sizes_non_increasing(self, paths, capsys):
         out = paths["tmp"] / "alpha.csv"

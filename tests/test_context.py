@@ -88,11 +88,13 @@ class TestParseContext:
          "more than one choice variable", "ctx/predicate[1]/choice"),
         ('<ctx><domain name="d" values="a,b"/><domain name="d" values="a,c"/></ctx>',
          "domain 'd' declared twice with different labels", "ctx/domain[2]"),
+        ('<ctx><domain name="d" values=""/></ctx>', "qualitative domain 'd' has no labels",
+         "ctx/domain[1]"),
         ('<ctx><sort name="Starship"/></ctx>', "unexpected element <sort>", "ctx/sort"),
         ('<ctx><predicate name="p"><param name="X"/><choice name="C" type="Boolean"/>'
          '</predicate></ctx>', "unexpected element <param>", "ctx/predicate[1]/param"),
     ], ids=["missing-attribute", "no-choice", "second-choice", "domain-redeclared",
-            "ctx-child", "predicate-child"])
+            "domain-without-labels", "ctx-child", "predicate-child"])
     def test_malformed_document_reports_message_and_path(self, doc, message, path):
         with pytest.raises(ct.ContextError) as err:
             ct.parse_context(doc)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +237,31 @@ class TestFixtureFormats:
         text = ct.format_ground_truth(truth)
         assert ct.load_ground_truth(text) == truth
 
+    @pytest.mark.parametrize("truth, bad", [
+        ({"w1": {"c,1", "c2"}}, "c,1"),
+        ({"a:b": {"c3"}}, "a:b"),
+        ({"w3": {" c4"}}, " c4"),
+        ({"w4": {"c5\n"}}, "c5\n"),
+        ({"w\r5": set()}, "w\r5"),
+        ({"w6": {""}}, ""),
+        ({"": set()}, ""),
+        ({"#w7": set()}, "#w7"),
+    ])
+    def test_ground_truth_rejects_an_id_it_cannot_give_back(self, truth, bad):
+        with pytest.raises(ValueError) as err:
+            ct.format_ground_truth(truth)
+        assert str(err.value) == f"ground truth cannot hold id {bad!r}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4),
+                           st.frozensets(st.text(max_size=4), max_size=3), max_size=3))
+    def test_ground_truth_gives_back_whatever_it_writes(self, truth):
+        try:
+            text = ct.format_ground_truth(truth)
+        except ValueError:
+            return
+        assert ct.load_ground_truth(text) == truth
+
     def test_ground_truth_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             ct.load_ground_truth("w1 c1,c2\n")
@@ -248,7 +276,6 @@ class TestFixtureFormats:
 
     def test_metric_csv_shape(self):
         row = ct.metrics({"a"}, {"a", "b"})
-        from dataclasses import replace
         text = ct.format_metric_csv([replace(row, target="t", alpha=0.5,
                                              budget=12, engine="tree", th_t=0.4)])
         lines = text.splitlines()
@@ -256,6 +283,26 @@ class TestFixtureFormats:
                             "n_correct,n_false,n_missed,th_t,tests_used,elapsed_us")
         assert lines[1] == "t,0.5,12,tree,0.500000,1.000000,1,1,0,0.400000,0,0"
         assert text.endswith("\n")
+
+    def test_metric_csv_quotes_a_field_only_where_it_must(self):
+        row = ct.metrics({"a"}, {"a"})
+        targets = ["w,1", 'w"2', "w\n3", "w\r4", "w 5"]
+        text = ct.format_metric_csv([replace(row, target=t) for t in targets])
+        assert text.splitlines()[1:3] == ['"w,1",0,,,1.000000,1.000000,1,0,0,,0,0',
+                                          '"w""2",0,,,1.000000,1.000000,1,0,0,,0,0']
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [len(r) for r in rows] == [12] * 6
+        assert [r[0] for r in rows[1:]] == targets
+
+    def test_retrieve_csv_reads_back_one_row_per_case(self, graded_base, graded_target):
+        base = [replace(c, id=cid) for c, cid in zip(graded_base, ["a,1", 'b"', "c\r\n", "d"])]
+        result = ct.scan_linear(base, ct.TargetOracle(graded_target))
+        rows = list(csv.reader(io.StringIO(ct.format_retrieve_csv(result), newline="")))
+        assert rows[0] == "case,score,scanned,pruned,evaluated,substitution,best".split(",")
+        assert [r[0] for r in rows[1:]] == sorted(result.per_case)
+        assert all(len(r) == 7 for r in rows)
+        assert [r[6] for r in rows[1:]] == ["1" if r[0] == result.best_case else "0"
+                                            for r in rows[1:]]
 
     def test_memory_csv_shape(self):
         text = ct.format_memory_csv([(1, 3, 3), (2, 5, 4)])

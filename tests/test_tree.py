@@ -50,6 +50,12 @@ class TestBuildTree:
             ct.build_tree(cases, ("hasball", "partner"))
         assert "distance" in str(err.value)
 
+    def test_priority_naming_a_predicate_twice_is_rejected(self, three_case_base):
+        cases, _ = three_case_base
+        with pytest.raises(ct.TreeError) as err:
+            ct.build_tree(cases, ("hasball", "partner", "distance", "hasball"))
+        assert str(err.value) == "priority order names predicate 'hasball' twice"
+
     def test_duplicate_case_id(self, three_case_base):
         cases, priority = three_case_base
         with pytest.raises(ct.TreeError):
