@@ -31,17 +31,19 @@ carries the decision attached to the case. Any other attribute is an error.
 Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every injective way a perception pattern can be bound so that it occurs
 in the target, as rows of ids, from an index the target builds when it is
-constructed. ``_search_bindings`` finds a case's best injective binding by a
-bounded depth-first search over those rows, forward checking each
-perception's domain as a bitmask over its rows: it is exact at every agent
-count and can be interrupted at every search node. Both follow one label order,
-which ``pattern_labels`` owns: a row holds its ids in the sorted order of the
-pattern's generic labels, and the search decides labels in that order.
-``unify`` and ``similarity.scored_unify`` run the search over every
-perception of a case; ``retrieval.scan_tree`` runs it for each case it
-searches, over the rows its tree branch has tested. Acquisition's dedupe,
-``case_equivalent``, runs the same matcher and search with the stored case's
-labels standing in as concrete ids.
+constructed; the index holds each one-agent-slot key's rows in answer form,
+sorted and distinct, so a pattern with one generic slot is answered by a copy
+of them, and every call returns a fresh list. ``_search_bindings`` finds a
+case's best injective binding by a bounded depth-first search over those
+rows, forward checking each perception's domain as a bitmask over its rows:
+it is exact at every agent count and can be interrupted at every search
+node. Both follow one label order, which ``pattern_labels`` owns: a row holds
+its ids in the sorted order of the pattern's generic labels, and the search
+decides labels in that order. ``unify`` and ``similarity.scored_unify`` run
+the search over every perception of a case; ``retrieval.scan_tree`` runs it
+for each case it searches, over the rows its tree branch has tested.
+Acquisition's dedupe, ``case_equivalent``, runs the same matcher and search
+with the stored case's labels standing in as concrete ids.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def pattern_labels(values: Iterable[Value]) -> tuple[str, ...]:
     return tuple(labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Perception:
     """One (predicate, arguments, choice value) triple."""
 
@@ -113,9 +115,23 @@ class Perception:
     values: tuple[Value, ...]
     choice: bool | str
 
+    # a frozen dataclass's own __init__ assigns each field through
+    # object.__setattr__; writing through the slots' setters builds one in
+    # about two thirds of the time, and elaborate builds one per target
+    # perception (about 230 on a 22-player pitch). Assignment still raises
+    # FrozenInstanceError, and repr, == and hash are the dataclass's own.
+    def __init__(self, name: str, values: tuple[Value, ...], choice: bool | str):
+        _set_name(self, name)
+        _set_values(self, values)
+        _set_choice(self, choice)
+
     def __str__(self) -> str:
         args = ",".join(str(v) for v in self.values)
         return f"{self.name}({args})={self.choice}"
+
+
+_set_name, _set_values, _set_choice = (
+    Perception.name.__set__, Perception.values.__set__, Perception.choice.__set__)
 
 
 class CaseError(ValueError):
@@ -164,10 +180,13 @@ class TargetCase:
 
     ``completions`` answers from ``_index``: each perception's agent ids, in
     argument order, keyed by its predicate, choice and shape (per argument
-    None for an agent slot, or the (kind, name) of ``me`` or a constant). The
-    constructor builds it in the pass that rejects generic agents, and it
-    never changes after, so concurrent scans may share a target. Derived from
-    the perceptions, it takes no part in ``repr``, ``==`` or ``hash``.
+    None for an agent slot, or the (kind, name) of ``me`` or a constant). A
+    key with one agent slot holds its rows in answer form, sorted and
+    distinct, so a pattern with one generic slot needs no sort or label work.
+    The constructor builds the whole index in the pass that rejects generic
+    agents, and it never changes after: ``completions`` returns a fresh list
+    the caller may change, so concurrent scans may share a target. Derived
+    from the perceptions, it takes no part in ``repr``, ``==`` or ``hash``.
     """
 
     perceptions: tuple[Perception, ...]
@@ -187,6 +206,11 @@ class TargetCase:
                 else:
                     shape.append((v.kind, v.name))
             index.setdefault((p.name, p.choice, tuple(shape)), []).append(tuple(ids))
+        for key, rows in index.items():
+            if len(rows[0]) == 1:  # one agent slot: rows in answer form
+                rows.sort()  # elaborate emits them sorted: one linear pass
+                if len(set(rows)) < len(rows):
+                    index[key] = sorted(set(rows))
         object.__setattr__(self, "_index", index)
 
     def completions(self, name: str, values: tuple[Value, ...],
@@ -207,6 +231,8 @@ class TargetCase:
         entries = self._index.get((name, desired, tuple(shape)))
         if not entries:
             return []
+        if len(slots) == 1 and slots[0].kind == "generic":
+            return entries[:]  # stored sorted and distinct; the copy is the caller's
         labels = pattern_labels(slots)
         if len(labels) == len(slots):  # a distinct label in every slot
             names = tuple(v.name for v in slots)

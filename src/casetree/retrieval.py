@@ -81,7 +81,8 @@ from typing import Iterable, Sequence
 
 from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings,
                     mask_weight, pattern_labels)
-from .similarity import DEFAULT_PARAMS, SimilarityParams, ceiling, objective, scored_unify
+from .similarity import (DEFAULT_PARAMS, SimilarityParams, ceiling, objective, partial_score,
+                         scored_unify)
 
 
 class TreeError(ValueError):
@@ -454,9 +455,12 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             answer."""
             nonlocal leaderless
             for cid in ids:
-                case = cases[cid]
-                mask = sum(1 << order[cid][d] for d, _, _ in record[cid][1])
-                bound = objective(case, size, params)(*mask_weight(case.weights, mask))
+                case, where, mask = cases[cid], order[cid], 0
+                for d, _, _ in record[cid][1]:
+                    mask |= 1 << where[d]
+                # ``objective(case, size, params)`` at the mask, bit for bit
+                bound = partial_score(*mask_weight(case.weights, mask), case.total_weight,
+                                      size, params.alpha)
                 if leaderless and bound > 0:
                     leaderless, bound = False, math.inf
                 heappush(frontier, (-bound, 1, cid, None, None))

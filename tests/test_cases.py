@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 from functools import reduce
 from operator import add
@@ -506,6 +508,26 @@ class TestInvariants:
         p = P("hasball", [ct.ME], True)
         with pytest.raises(ct.CaseError):
             ct.GenericCase("dup", (p, p), (1.0, 1.0))
+
+    def test_perception_is_a_frozen_slotted_triple(self):
+        # its __init__ writes through the slots' setters; repr, ==, hash,
+        # freezing and pickling stay the dataclass's own, and the hash is the
+        # field tuple's, so set and dict orders over perceptions do not move
+        values = (ct.ME, ct.concrete("Agent.3"))
+        p = ct.Perception("distance", values, "long")
+        assert repr(p) == ("Perception(name='distance', values=(Value(kind='me', name='me', "
+                           "sort=None), Value(kind='concrete', name='Agent.3', sort=None)), "
+                           "choice='long')")
+        assert p == ct.Perception(name="distance", values=values, choice="long")
+        assert p != ct.Perception("distance", values, "short")
+        assert hash(p) == hash((p.name, p.values, p.choice))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.choice = "short"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.name
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and repr(copy) == repr(p) and hash(copy) == hash(p)
+        assert not hasattr(p, "__dict__")
 
     def test_substitution_injectivity_enforced(self):
         with pytest.raises(ct.CaseError):

@@ -144,6 +144,10 @@ class TestTargetOracle:
              "q", [], False, 0, [None, "A", None])  # a concrete id in the pattern
     @example([P("p", (A2, A2, A2), True), P("p", (A10, A10, A2), True)],
              "q", [], False, 1, ["A", "A", "B"])  # a label twice, one id for two
+    @example([P("p", (A2,), True), P("p", (A10,), True)],
+             "q", [], False, 0, ["A", None, None])  # one slot, ids out of order
+    @example([P("p", (A2,), True), P("p", (A10,), True), P("p", (A2,), True)],
+             "q", [], False, 0, ["A", None, None])  # and one of them twice
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_perception_matcher(self, perceptions, name, values, desired,
                                                held, labels):
@@ -159,6 +163,23 @@ class TestTargetOracle:
         values = tuple(values)
         assert (ct.TargetOracle(target).completions(name, values, desired)
                 == reference_completions(target, name, values, desired))
+
+    def test_returned_rows_belong_to_the_caller(self):
+        # one-agent-slot answers are stored in answer form: a caller that
+        # grows or empties the list it was given changes no later answer
+        world = ct.generate_world(5, 22)
+        target = ct.elaborate(world, world.self_id, 120.0)
+        questions = {(p.name, tuple(ct.generic(f"L{k}") if v.kind == "concrete" else v
+                                    for k, v in enumerate(p.values)), p.choice)
+                     for p in target.perceptions}
+        assert any(len(q[1]) == 1 and q[1][0].kind == "generic" for q in questions)
+        for q in sorted(questions, key=repr):
+            expected = reference_completions(target, *q)
+            assert expected
+            target.completions(*q).append(("Agent.99",) * len(expected[0]))
+            assert target.completions(*q) == expected
+            target.completions(*q).clear()
+            assert target.completions(*q) == expected
 
     def test_rows_do_not_depend_on_the_order_of_lookups(self):
         # the index is built with the target, so lookups leave it as it was:
