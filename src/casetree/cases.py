@@ -44,6 +44,14 @@ the search over every perception of a case; ``retrieval.scan_tree`` runs it
 for each case it searches, over the rows its tree branch has tested.
 Acquisition's dedupe, ``case_equivalent``, runs the same matcher and search
 with the stored case's labels standing in as concrete ids.
+
+Every search of a case reads two facts that depend on the case alone from
+``GenericCase._facts``: each perception's generic labels and a memo of the
+weight sums it has scored. A case's first search fills them and later
+searches, of any target, reuse them (a memo function in Michie's sense,
+Nature 1968). A search's answer is built as it is found: its pairs, sorted
+by label and injective, become a ``Substitution`` without the public
+constructor's re-sort and check.
 """
 
 from __future__ import annotations
@@ -144,13 +152,25 @@ class GenericCase:
     and the action it recommends. ``total_weight``, set at construction, is
     ``mask_weight`` over every index, so a full match's weight factor is
     exactly 1.0 (``similarity.ceiling``). Derived from the weights, it takes
-    no part in ``repr``, ``==`` or ``hash``."""
+    no part in ``repr``, ``==`` or ``hash``.
+
+    ``_facts`` holds what every binding search of the case would otherwise
+    recompute: each perception's generic labels, by ``pattern_labels``, and
+    a ``_WeightSums`` of ``mask_weight`` over the case's weights, one (sum,
+    count) per matched mask its searches have met. That is at most 2^n sums
+    for n perceptions; a case of many perceptions holds as many as the masks
+    its targets make it meet. ``_case_facts`` fills the facts in one
+    assignment at the case's first search, never at construction, and only
+    the sums grow after that. The case's value never changes, and the facts
+    take no part in ``repr``, ``==`` or ``hash``."""
 
     id: str
     perceptions: tuple[Perception, ...]
     weights: tuple[float, ...]
     action: str = "none"
     total_weight: float = field(init=False, repr=False, compare=False)
+    _facts: tuple[tuple[tuple[str, ...], ...], "_WeightSums"] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.perceptions) != len(self.weights):
@@ -282,6 +302,18 @@ class Substitution:
         return bool(self.pairs)
 
 
+_new_object, _set_attribute = object.__new__, object.__setattr__
+
+
+def _found_substitution(pairs: tuple[tuple[str, str], ...]) -> Substitution:
+    """The ``Substitution`` of a binding search's answer: its pairs are sorted
+    by label, with distinct labels and ids, as the search builds them, so the
+    constructor's re-sort and injectivity check are skipped."""
+    sub = _new_object(Substitution)
+    _set_attribute(sub, "pairs", pairs)
+    return sub
+
+
 # ---------------------------------------------------------------------------
 # unification
 
@@ -297,6 +329,34 @@ def mask_weight(weights, mask: int) -> tuple[float, int]:
         n += 1
         mask ^= low
     return w, n
+
+
+class _WeightSums(dict):
+    """``mask -> mask_weight(weights, mask)``, each summed at its first lookup
+    and kept: a case's memo of the weight sums its searches score."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple[float, ...]):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, mask: int) -> tuple[float, int]:
+        found = self[mask] = mask_weight(self.weights, mask)
+        return found
+
+
+def _case_facts(case: GenericCase) -> tuple[tuple[tuple[str, ...], ...], _WeightSums]:
+    """``case._facts``, filled in one assignment on the first call: each
+    perception's generic labels and the case's weight-sum memo. Scans that
+    share the case may fill it at once; each then searches with the facts it
+    made, which equal the kept ones."""
+    facts = case._facts
+    if facts is None:
+        facts = (tuple(pattern_labels(p.values) for p in case.perceptions),
+                 _WeightSums(case.weights))
+        _set_attribute(case, "_facts", facts)
+    return facts
 
 
 def _row_masks(rows):
@@ -317,12 +377,14 @@ def _row_masks(rows):
     return at, has
 
 
-def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-math.inf):
+def _search_bindings(sums, perceptions, objective, interrupted=None, floor=-math.inf):
     """Maximize ``objective(weight_sum, n_matched)`` over injective bindings.
 
-    ``perceptions`` holds (index into ``weights``, generic labels in sorted
-    order, rows of ids binding those labels as ``TargetCase.completions``
-    gives them) per perception that may match; the others never match.
+    ``sums`` is the case's ``_WeightSums``, which gives the (weight sum,
+    count) of every mask scored and keeps any it sums. ``perceptions`` holds
+    (index into ``sums.weights``, generic labels in sorted order, rows of ids
+    binding those labels as ``TargetCase.completions`` gives them) per
+    perception that may match; the others never match.
 
     A bounded depth-first search decides the generic labels in sorted order.
     A node first offers its binding as a candidate, unless its parent already
@@ -374,13 +436,8 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
             live.append((1 << i, ranks, 0, (1 << len(rows)) - 1, sum(1 << r for r in ranks),
                          rows, None))
 
-    values: dict[int, float] = {}
-
     def value(mask: int) -> float:
-        found = values.get(mask)
-        if found is None:
-            found = values[mask] = objective(*mask_weight(weights, mask))
-        return found
+        return objective(*sums[mask])
 
     best = value(matched), (), matched
     cut = max(best[0], floor)  # a node whose bound is no higher is cut
@@ -454,16 +511,17 @@ def _search_bindings(weights, perceptions, objective, interrupted=None, floor=-m
 
 def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None):
     """``_search_bindings`` over every perception of ``source`` against
-    ``target``: (best_value, Substitution, frozenset of matched indices), or
-    None once ``interrupted()`` holds."""
-    found = _search_bindings(source.weights, [
-        (i, pattern_labels(p.values), target.completions(p.name, p.values, p.choice))
+    ``target``, through the case's facts: (best_value, Substitution, frozenset
+    of matched indices), or None once ``interrupted()`` holds."""
+    labels, sums = _case_facts(source)
+    found = _search_bindings(sums, [
+        (i, labels[i], target.completions(p.name, p.values, p.choice))
         for i, p in enumerate(source.perceptions)
     ], objective, interrupted)
     if found is None:
         return None
     best_value, pairs, matched = found
-    return best_value, Substitution(pairs), frozenset(
+    return best_value, _found_substitution(pairs), frozenset(
         i for i in range(matched.bit_length()) if matched >> i & 1)
 
 
@@ -532,7 +590,8 @@ def case_equivalent(a: GenericCase, b: GenericCase) -> bool:
     if len(a.generic_labels) != len(b.generic_labels):
         return False
     b_set = set(b.perceptions)
-    if any(p not in b_set for p in a.perceptions if not pattern_labels(p.values)):
+    labels = _case_facts(a)[0]
+    if any(p not in b_set for p, own in zip(a.perceptions, labels) if not own):
         return False
     target = TargetCase(tuple(
         Perception(q.name, tuple(concrete(v.name) if v.kind == "generic" else v

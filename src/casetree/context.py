@@ -251,7 +251,9 @@ def parse_context(document: str) -> Context:
     """Parse a context document into a Context.
 
     Raises ContextError for malformed XML, unknown sort names, duplicate
-    predicate names, or qualitative domains no earlier ``domain`` declares.
+    predicate names, names that differ from an earlier one only in case
+    (``elaborate`` matches names case-insensitively), or qualitative domains
+    no earlier ``domain`` declares.
     """
     root = _root(document, "ctx")
     if root.attrib:
@@ -259,6 +261,7 @@ def parse_context(document: str) -> Context:
 
     domains: dict[str, ValueSort] = {}
     predicates: dict[str, PredicateSchema] = {}
+    by_lower: dict[str, str] = {}  # lower-cased name -> its first spelling
     pred_idx = 0
 
     for child in root:
@@ -283,6 +286,9 @@ def parse_context(document: str) -> Context:
             name = _attr(child, "name", path)
             if name in predicates:
                 raise ContextError(f"duplicate predicate {name!r}", path)
+            first = by_lower.setdefault(name.lower(), name)
+            if first != name:
+                raise ContextError(f"predicate {name!r} differs from {first!r} only in case", path)
             predicates[name] = _parse_schema(child, name, path, domains)
         else:
             raise ContextError(f"unexpected element <{child.tag}>", f"ctx/{child.tag}")

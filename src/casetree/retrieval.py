@@ -51,7 +51,10 @@ search showed it cannot win, is reported unevaluated, with score 0; such
 cases, of either engine, share one ``CaseOutcome`` per (scanned, pruned) pair.
 
 The oracle's matcher is ``TargetCase.completions`` and the scorer is
-``cases._search_bindings``, maximizing ``similarity.objective``. The linear
+``cases._search_bindings``, maximizing ``similarity.objective``. Each search
+reads its case's generic labels and weight sums from the case's facts
+(``cases.GenericCase``), and every objective and bound of a scan reads its
+coverage factor from one ``similarity.coverage_table``. The linear
 baseline scores each case with ``similarity.scored_unify``, the same search
 over the same rows, in the order of the cases it is given, so the two engines
 differ only in how they share work. Both stop on the same check and assemble
@@ -79,9 +82,9 @@ from functools import cache, partial
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _search_bindings,
-                    mask_weight, pattern_labels)
-from .similarity import (DEFAULT_PARAMS, SimilarityParams, ceiling, objective, partial_score,
+from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _case_facts,
+                    _found_substitution, _search_bindings)
+from .similarity import (DEFAULT_PARAMS, SimilarityParams, coverage_table, objective,
                          scored_unify)
 
 
@@ -299,13 +302,29 @@ class TargetOracle:
 NO_SUBSTITUTION = Substitution()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseOutcome:
     score: float
     scanned: int
     pruned: bool
     evaluated: bool
     substitution: Substitution
+
+    # built through the slots' setters, as cases.Perception is: a scan makes
+    # one per case it scores, and repr, ==, hash (the field tuple's),
+    # FrozenInstanceError and pickling stay the dataclass's own
+    def __init__(self, score: float, scanned: int, pruned: bool, evaluated: bool,
+                 substitution: Substitution):
+        _set_score(self, score)
+        _set_scanned(self, scanned)
+        _set_pruned(self, pruned)
+        _set_evaluated(self, evaluated)
+        _set_substitution(self, substitution)
+
+
+_set_score, _set_scanned, _set_pruned, _set_evaluated, _set_substitution = (
+    CaseOutcome.score.__set__, CaseOutcome.scanned.__set__, CaseOutcome.pruned.__set__,
+    CaseOutcome.evaluated.__set__, CaseOutcome.substitution.__set__)
 
 
 @cache
@@ -385,7 +404,11 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     start = time.perf_counter()
     limit = budget.max_comparisons if budget.kind == "comparisons" else None
     interrupted = _stop_check(budget, start, cancel)
-    size, cases, order = oracle.size, tree.cases, tree.order
+    cases, order = tree.cases, tree.order
+    # the coverage factor per matched count, up to the most perceptions of any
+    # case; entry n is also ``ceiling(n)``
+    coverage = coverage_table(oracle.size, max(
+        (arc.most for node in tree.roots for arc in node.arcs), default=0), params)
     # per case: (arcs of its branch tested, its tested prefix that no arc
     # contradicted), final once its walk ends; and its outcome once searched
     record = dict.fromkeys(cases, (0, ()))
@@ -399,23 +422,26 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         count, tested = record[cid]
         score, pairs = 0.0, ()  # the value of an empty prefix
         if tested:
+            case, where = cases[cid], order[cid]
+            labels, sums = _case_facts(case)
             got = _search_bindings(
-                cases[cid].weights, [(order[cid][d], own, rows) for d, own, rows in tested],
-                objective(cases[cid], size, params), interrupted, floor)
+                sums, [(where[d], labels[where[d]], rows) for d, rows in tested],
+                objective(case, coverage), interrupted, floor)
             if got is None:
                 return False
             score, pairs = got[:2]
         if score > floor:
             # with pruning, only the last tested arc of a branch can contradict
             per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count, True,
-                                        Substitution(pairs) if pairs else NO_SUBSTITUTION)
+                                        _found_substitution(pairs) if pairs
+                                        else NO_SUBSTITUTION)
         return True
 
     # frontier entries: (-bound, 0, sequence number, arc, tested prefix) for an
     # arc to test and (-bound, 1, case id, None, None) for a case to search; a
     # tested prefix holds per branch position tested and not contradicted (its
-    # depth, its node's generic labels in sorted order, its rows), shared by
-    # every case below
+    # depth, its rows), shared by every case below; a search reads each
+    # position's generic labels from its case's facts
     if interrupted is None:
         # a ranking: breadth first, and every case searched once the walk
         # stops; no bound is needed, since nothing is cut. Searching each case
@@ -435,8 +461,6 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         frontier = []
         pop, sequence = partial(heappop, frontier), itertools.count()
 
-        arc_bound = cache(partial(ceiling, target_size=size, params=params))
-
         def walk(nodes, tested) -> None:
             for node in nodes:
                 for arc in node.arcs:
@@ -444,7 +468,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
                     # far, and none scores above a full match, whose score
                     # depends on its perception count alone; with pruning off
                     # this bound is looser, still safe
-                    heappush(frontier, (-arc_bound(arc.most), 0, next(sequence), arc, tested))
+                    heappush(frontier, (-coverage[arc.most], 0, next(sequence), arc, tested))
 
         leaderless = True  # no case has been queued to lead yet
 
@@ -456,11 +480,11 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             nonlocal leaderless
             for cid in ids:
                 case, where, mask = cases[cid], order[cid], 0
-                for d, _, _ in record[cid][1]:
+                for d, _ in record[cid][1]:
                     mask |= 1 << where[d]
-                # ``objective(case, size, params)`` at the mask, bit for bit
-                bound = partial_score(*mask_weight(case.weights, mask), case.total_weight,
-                                      size, params.alpha)
+                # ``objective(case, coverage)`` at the mask, bit for bit
+                weight, n = _case_facts(case)[1][mask]
+                bound = weight / case.total_weight * coverage[n]
                 if leaderless and bound > 0:
                     leaderless, bound = False, math.inf
                 heappush(frontier, (-bound, 1, cid, None, None))
@@ -494,7 +518,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
             end(arc.below)
             continue
         if rows:  # not contradicted: every case below now has a longer prefix
-            tested = tested + ((arc.depth, pattern_labels(arc.values), rows),)
+            tested = tested + ((arc.depth, rows),)
         seen = (arc.depth + 1, tested)
         for cid in arc.below:
             record[cid] = seen
@@ -538,6 +562,8 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
     start = time.perf_counter()
     interrupted = _stop_check(budget, start, cancel)
     tests_used = 0
+    coverage = coverage_table(oracle.size, max((len(c.perceptions) for c in base), default=0),
+                              params)
 
     for case in base:
         cid, cost = case.id, len(case.perceptions)
@@ -546,7 +572,7 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
         if interrupted is not None and interrupted():
             break
         try:
-            scored = scored_unify(case, oracle.target, params, interrupted)
+            scored = scored_unify(case, oracle.target, params, interrupted, coverage)
         except Exception as exc:
             raise RetrievalError(
                 f"evaluation failed on {cid}: {exc}",

@@ -14,6 +14,9 @@ can match, so it starts at 0 with nothing scanned and converges to the
 offline value once the scan completes un-pruned. ``objective`` builds the
 one function both maximize, the formula for a case against a target of a
 given size, and the binding search asks it for every candidate and bound.
+Within one scan the coverage factor depends only on m, so a scan computes it
+once per m, in ``coverage_table``, and every objective reads it from there;
+the weight sums come from the case's own memo (``cases.GenericCase``).
 """
 
 from __future__ import annotations
@@ -46,14 +49,6 @@ def partial_score(matched_weight: float, matched_count: int, total_weight: float
     return (matched_weight / total_weight) * coverage
 
 
-def objective(case: GenericCase, target_size: int, params: SimilarityParams):
-    """The ``(matched_weight, matched_count) -> score`` function the binding
-    search maximizes for ``case`` against a target of ``target_size``
-    perceptions."""
-    total, alpha = case.total_weight, params.alpha
-    return lambda w, n: partial_score(w, n, total, target_size, alpha)
-
-
 def ceiling(perceptions: int, target_size: int, params: SimilarityParams) -> float:
     """The highest score a case of ``perceptions`` perceptions can reach
     against a target of ``target_size``: its ``objective`` when it matches
@@ -63,8 +58,26 @@ def ceiling(perceptions: int, target_size: int, params: SimilarityParams) -> flo
     return partial_score(1.0, perceptions, 1.0, target_size, params.alpha)
 
 
+def coverage_table(target_size: int, most: int, params: SimilarityParams) -> list[float]:
+    """``partial_score``'s coverage factor against a target of ``target_size``
+    perceptions, indexed by the matched count m = 0..most. Entry m is
+    ``ceiling(m)``, whose weight factor is exactly 1.0, so it is the factor
+    bit for bit. Raises ValueError for an empty target."""
+    return [ceiling(m, target_size, params) for m in range(most + 1)]
+
+
+def objective(case: GenericCase, coverage: list[float]):
+    """The ``(matched_weight, matched_count) -> score`` function the binding
+    search maximizes for ``case``: ``partial_score`` against the target that
+    ``coverage`` (a ``coverage_table`` reaching the case's perception count)
+    was built for, bit for bit."""
+    total = case.total_weight
+    return lambda w, n: w / total * coverage[n]
+
+
 def scored_unify(source: GenericCase, target: TargetCase,
-                 params: SimilarityParams = DEFAULT_PARAMS, interrupted=None
+                 params: SimilarityParams = DEFAULT_PARAMS, interrupted=None,
+                 coverage: list[float] | None = None
                  ) -> tuple[float, Substitution, frozenset[int]] | None:
     """Best score over all injective bindings, with the binding that won.
 
@@ -73,9 +86,12 @@ def scored_unify(source: GenericCase, target: TargetCase,
     weight tie hides a larger matched set, or when binding a high-weight
     perception would sacrifice more coverage than it buys. The search asks
     ``interrupted()``, when given, at every node and returns None once it holds.
-    Raises ValueError for an empty target.
+    A scan passes the ``coverage_table`` it built for ``target`` and ``params``;
+    without one, the call builds its own. Raises ValueError for an empty target.
     """
-    return _unify(source, target, objective(source, len(target), params), interrupted)
+    if coverage is None:
+        coverage = coverage_table(len(target), len(source.perceptions), params)
+    return _unify(source, target, objective(source, coverage), interrupted)
 
 
 def similarity(source: GenericCase, target: TargetCase,

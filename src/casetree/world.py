@@ -34,7 +34,8 @@ Snapshot text format (line oriented, UTF-8)::
     player <id> <team> <x> <y> <hasball 0|1> <marked-by|-> <callball 0|1> <callsupport 0|1>
 
 Every record but ``player`` may appear at most once, and each has exactly
-the fields shown; a flag is ``0`` or ``1``, and a team ``teamA`` or ``teamB``.
+the fields shown; a flag is ``0`` or ``1``, a team ``teamA`` or ``teamB``,
+and each field size finite and positive.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ class WorldSnapshot:
     tick: int = 0
 
     def __post_init__(self):
+        if not (0 < self.field_length < math.inf and 0 < self.field_width < math.inf):
+            raise ValueError(f"field size {self.field_length!r} x {self.field_width!r} "
+                             "is not finite and positive")
         ids = [p.pid for p in self.players]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate player id")

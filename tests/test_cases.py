@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import casetree as ct
-from casetree.cases import _search_bindings, mask_weight
+from casetree.cases import _search_bindings, _WeightSums, mask_weight
 from casetree.similarity import partial_score, scored_unify
 from support import (
     brute_force_best_weight,
@@ -665,7 +665,7 @@ class TestSearchBindings:
     def test_matches_brute_force(self, inputs):
         weights, perceptions, objective, floor = inputs
         want = brute_force_search(weights, perceptions, objective)
-        got = _search_bindings(weights, perceptions, objective, None, floor)
+        got = _search_bindings(_WeightSums(weights), perceptions, objective, None, floor)
         if want[0] > floor:
             assert got == want
         else:
@@ -676,10 +676,11 @@ class TestSearchBindings:
     def test_stops_at_every_question(self, inputs):
         weights, perceptions, objective, floor = inputs
         never, asked = stops_at(math.inf)
-        assert _search_bindings(weights, perceptions, objective, never, floor) is not None
+        sums = _WeightSums(weights)
+        assert _search_bindings(sums, perceptions, objective, never, floor) is not None
         for k in range(1, len(asked) + 1):
             flag, seen = stops_at(k)
-            assert _search_bindings(weights, perceptions, objective, flag, floor) is None
+            assert _search_bindings(sums, perceptions, objective, flag, floor) is None
             assert len(seen) == k
 
     def test_nothing_to_bind_still_asks_once(self):
@@ -687,9 +688,9 @@ class TestSearchBindings:
         # labels have no rows: no label is left to bind
         perceptions = [(0, (), [()]), (1, (), []), (2, ("A",), [])]
         never, asked = stops_at(math.inf)
-        assert _search_bindings((1.0, 1.0, 1.0), perceptions, lambda w, n: w,
-                                never) == (1.0, (), 1)
+        sums = _WeightSums((1.0, 1.0, 1.0))
+        assert _search_bindings(sums, perceptions, lambda w, n: w, never) == (1.0, (), 1)
         assert asked == [1]
         flag, asked = stops_at(1)
-        assert _search_bindings((1.0, 1.0, 1.0), perceptions, lambda w, n: w, flag) is None
+        assert _search_bindings(sums, perceptions, lambda w, n: w, flag) is None
         assert asked == [1]

@@ -93,8 +93,15 @@ class TestParseContext:
         ('<ctx><sort name="Starship"/></ctx>', "unexpected element <sort>", "ctx/sort"),
         ('<ctx><predicate name="p"><param name="X"/><choice name="C" type="Boolean"/>'
          '</predicate></ctx>', "unexpected element <param>", "ctx/predicate[1]/param"),
+        # elaborate matches names case-insensitively: it would file every
+        # partner perception under one spelling, and cases of the other
+        # would stop matching
+        ('<ctx><predicate name="partner"><variable name="P1" type="Agent"/>'
+         '<choice name="V" type="Boolean"/></predicate><predicate name="PARTNER">'
+         '<variable name="P1" type="Agent"/><choice name="V" type="Boolean"/></predicate></ctx>',
+         "predicate 'PARTNER' differs from 'partner' only in case", "ctx/predicate[2]"),
     ], ids=["missing-attribute", "no-choice", "second-choice", "domain-redeclared",
-            "domain-without-labels", "ctx-child", "predicate-child"])
+            "domain-without-labels", "ctx-child", "predicate-child", "case-only-difference"])
     def test_malformed_document_reports_message_and_path(self, doc, message, path):
         with pytest.raises(ct.ContextError) as err:
             ct.parse_context(doc)

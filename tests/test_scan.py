@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import casetree as ct
 from casetree.cases import mask_weight
-from casetree.similarity import objective
+from casetree.similarity import coverage_table, objective
 from support import (brute_force_optimum, brute_force_similarity, random_base, random_target,
                      substitute, zero_odd_weights)
 
@@ -459,9 +461,9 @@ class TestScanTree:
         searched = {}  # per case, the arguments of each of its searches
         search = ct.retrieval._search_bindings
 
-        def counting(weights, *args):
-            searched.setdefault(case_of[id(weights)], []).append((weights,) + args)
-            return search(weights, *args)
+        def counting(sums, *args):
+            searched.setdefault(case_of[id(sums.weights)], []).append((sums,) + args)
+            return search(sums, *args)
 
         monkeypatch.setattr(ct.retrieval, "_search_bindings", counting)
 
@@ -557,6 +559,48 @@ class TestScanTree:
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     futures = [pool.submit(run) for _ in range(4)]
                     assert [f.result(timeout=60) for f in futures] == [serial] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_scans_fill_one_fresh_base(self, fixture_dir, football_ctx):
+        # four threads scan one freshly parsed base, whose cases have not
+        # been searched, so they race to fill each case's facts; with a
+        # short switch interval each result equals a serial scan of a
+        # separately parsed copy, by repr
+        text = (fixture_dir / "bench50.cases.xml").read_text()
+        targets = [ct.elaborate(world, world.self_id, 120.0, football_ctx)
+                   for world in (ct.generate_world(seed, 10) for seed in (70, 71))]
+
+        def scans(base, tree):
+            # linear first: its searches fill the facts case after case, so
+            # the threads meet at the same cases most often
+            results = []
+            for target in targets:
+                oracle = ct.TargetOracle(target)
+                results += [ct.scan_linear(base, oracle), ct.scan_tree(tree, oracle),
+                            ct.scan_tree(tree, oracle, prune=False),
+                            ct.scan_tree(tree, oracle, cancel=threading.Event())]
+            return masked(results)
+
+        copy, priority = ct.parse_case_base(text, football_ctx)
+        serial = scans(copy, ct.build_tree(copy, priority))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                shared = ct.parse_case_base(text, football_ctx)[0]
+                tree = ct.build_tree(shared, priority)
+                assert all(case._facts is None for case in shared)
+                start = threading.Barrier(4)
+
+                def run():
+                    start.wait(timeout=30)
+                    return scans(shared, tree)
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(run) for _ in range(4)]
+                    assert [f.result(timeout=120) for f in futures] == [serial] * 4
+                assert all(case._facts is not None for case in shared)
         finally:
             sys.setswitchinterval(interval)
 
@@ -707,9 +751,9 @@ class TestScanTree:
         searches = Counter()
         search = ct.retrieval._search_bindings
 
-        def counting(weights, *args):
-            searches[case_of[id(weights)]] += 1
-            return search(weights, *args)
+        def counting(sums, *args):
+            searches[case_of[id(sums.weights)]] += 1
+            return search(sums, *args)
 
         with mock.patch.object(ct.retrieval, "_search_bindings", counting):
             top = ct.scan_tree(tree, oracle, params=params, prune=prune,
@@ -734,7 +778,7 @@ class TestScanTree:
                          if oracle.completions(arc.predicate, arc.values, arc.test)]
             if not oc.pruned:
                 positions += order[oc.scanned:]
-            bound = objective(case, len(target), params)(
+            bound = objective(case, coverage_table(len(target), len(case.perceptions), params))(
                 *mask_weight(case.weights, sum(1 << i for i in positions)))
             assert full.per_case[case.id].score <= bound, case.id
             assert (-bound, case.id) > leader, case.id
@@ -775,9 +819,9 @@ class TestScanTree:
         searched = []
         search = ct.retrieval._search_bindings
 
-        def recording(weights, *args):
-            searched.append("a" if weights is a.weights else "b")
-            return search(weights, *args)
+        def recording(sums, *args):
+            searched.append("a" if sums.weights is a.weights else "b")
+            return search(sums, *args)
 
         monkeypatch.setattr(ct.retrieval, "_search_bindings", recording)
         top = ct.scan_tree(tree, oracle, prune=prune, cancel=threading.Event())
@@ -892,10 +936,10 @@ class TestScanTree:
                 before_test.append(counting.checks)
                 return super().completions(name, values, desired)
 
-        def recording(weights, *args):
+        def recording(sums, *args):
             first = counting.checks
-            found = search(weights, *args)
-            searches[case_of[id(weights)]] = first, counting.checks
+            found = search(sums, *args)
+            searches[case_of[id(sums.weights)]] = first, counting.checks
             return found
 
         monkeypatch.setattr(ct.retrieval, "_search_bindings", recording)
@@ -924,6 +968,164 @@ class TestScanTree:
                     assert oc == full.per_case[cid], (k, cid)
                 else:
                     assert (oc.score, oc.substitution) == (0.0, ct.Substitution()), (k, cid)
+
+
+class TestCaseOutcome:
+    def test_case_outcome_is_a_frozen_slotted_record(self):
+        # its __init__ writes through the slots' setters; repr, ==, hash,
+        # freezing and pickling stay the dataclass's own
+        sub = ct.Substitution((("B", "Agent.4"), ("A", "Agent.2")))
+        oc = ct.CaseOutcome(0.5, 3, True, True, sub)
+        assert repr(oc) == ("CaseOutcome(score=0.5, scanned=3, pruned=True, evaluated=True, "
+                            "substitution=Substitution(pairs=(('A', 'Agent.2'), "
+                            "('B', 'Agent.4'))))")
+        assert oc == ct.CaseOutcome(score=0.5, scanned=3, pruned=True, evaluated=True,
+                                    substitution=sub)
+        assert oc != ct.CaseOutcome(0.5, 3, False, True, sub)
+        assert hash(oc) == hash((oc.score, oc.scanned, oc.pruned, oc.evaluated,
+                                 oc.substitution))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            oc.score = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del oc.pruned
+        copy = pickle.loads(pickle.dumps(oc))
+        assert copy == oc and repr(copy) == repr(oc) and hash(copy) == hash(oc)
+        assert not hasattr(oc, "__dict__")
+
+
+def masked(results) -> list[str]:
+    """Each result's repr, its elapsed time masked."""
+    return [re.sub(r"elapsed_us=\d+", "", repr(r)) for r in results]
+
+
+class TestCaseFacts:
+    """A case's facts (``cases._case_facts``) and the answers built from them."""
+
+    @staticmethod
+    def check_answers(monkeypatch) -> list[tuple[ct.Substitution, ct.Substitution]]:
+        """Check every binding search as the scans and dedupe make it: its
+        pairs sorted by label, labels and ids distinct, and every
+        Substitution the search path builds equal to the public
+        constructor's by ==, repr and hash. Returns those built, each with
+        the public constructor's."""
+        built = []
+        search, found = ct.cases._search_bindings, ct.cases._found_substitution
+
+        def checked_search(*args):
+            answer = search(*args)
+            if answer is not None:
+                labels, ids = [label for label, _ in answer[1]], [i for _, i in answer[1]]
+                assert labels == sorted(set(labels)) and len(set(ids)) == len(ids), answer
+            return answer
+
+        def checked_found(pairs):
+            sub, public = found(pairs), ct.Substitution(pairs)
+            assert (sub, repr(sub), hash(sub)) == (public, repr(public), hash(public)), pairs
+            built.append((sub, public))
+            return sub
+
+        for module in (ct.cases, ct.retrieval):
+            monkeypatch.setattr(module, "_search_bindings", checked_search)
+            monkeypatch.setattr(module, "_found_substitution", checked_found)
+        return built
+
+    @staticmethod
+    def every_scan(base, tree, oracle, params=ct.SimilarityParams()) -> list:
+        results = []
+        for prune in (True, False):
+            for budget in (ct.UNBOUNDED, ct.ScanBudget.comparisons(7),
+                           ct.ScanBudget.comparisons(40)):
+                results.append(ct.scan_tree(tree, oracle, budget, params, prune))
+            results.append(ct.scan_tree(tree, oracle, params=params, prune=prune,
+                                        cancel=threading.Event()))
+        results.append(ct.scan_linear(base, oracle, params=params))
+        return results
+
+    def test_search_answers_are_sorted_injective_substitutions(self, monkeypatch,
+                                                               football_ctx):
+        built = self.check_answers(monkeypatch)
+        for seed in range(6):
+            base = random_base(seed + 30, 12, max_players=8)
+            tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
+            for k in range(3):
+                target = random_target(seed * 3 + k + 500, max_players=8)
+                if len(target):
+                    self.every_scan(base, tree, ct.TargetOracle(target))
+            for a, b in itertools.product(base, repeat=2):
+                ct.case_equivalent(a, b)
+        # 22-player whole-pitch snapshots, world seeds 900000-900039
+        base = random_base(8, 30, max_players=22)
+        tree = ct.build_tree(base, ct.FOOTBALL_PRIORITY)
+        for seed in range(900000, 900040):
+            world = ct.generate_world(seed, 22)
+            oracle = ct.TargetOracle(ct.elaborate(world, world.self_id, 120.0, football_ctx))
+            ct.scan_tree(tree, oracle)
+            ct.scan_tree(tree, oracle, cancel=threading.Event())
+            ct.scan_linear(base, oracle)
+        assert len(built) > 1000
+        # ordering: the built substitutions sort as the public ones do
+        sample = built[::len(built) // 120]
+        for (a, public_a), (b, public_b) in itertools.product(sample, repeat=2):
+            assert ((a < b, a <= b, a > b, a >= b)
+                    == (public_a < public_b, public_a <= public_b, public_a > public_b,
+                        public_a >= public_b)), (a, b)
+
+    def test_cold_warm_and_fresh_bases_answer_alike(self, fixture_dir, football_ctx):
+        # a base whose facts hold the sums of other targets and parameters,
+        # met in another order, answers as one freshly parsed for each scan
+        text = (fixture_dir / "bench50.cases.xml").read_text()
+        worlds = ([ct.load_snapshot(path.read_text())
+                   for path in sorted(fixture_dir.glob("w*.world"))]
+                  + [ct.generate_world(seed, 22) for seed in (900000, 900001)])
+        oracles = [ct.TargetOracle(ct.elaborate(world, world.self_id, radius, football_ctx))
+                   for world in worlds for radius in (30.0, 120.0)]
+
+        def parsed():
+            base, priority = ct.parse_case_base(text, football_ctx)
+            assert all(case._facts is None for case in base)
+            return base, ct.build_tree(base, priority)
+
+        def answers(order, fresh=False):
+            base, tree = parsed()
+            found = {}
+            for k in order:
+                for alpha in (0.5, 0.0):
+                    if fresh:
+                        base, tree = parsed()
+                    found[k, alpha] = masked(self.every_scan(
+                        base, tree, oracles[k], ct.SimilarityParams(alpha)))
+            if fresh:
+                base, tree = parsed()
+            found["dedupe"] = [ct.case_equivalent(a, b) for a in base for b in base]
+            return found, base
+
+        forward = range(len(oracles))
+        cold, base = answers(forward)
+        assert all(case._facts is not None for case in base)
+        warm, _ = answers(reversed(forward))
+        fresh, _ = answers(forward, fresh=True)
+        assert cold == warm == fresh
+
+    def test_facts_change_no_value_of_a_case(self, fixture_dir, football_ctx):
+        # parsing and compiling leave the facts empty; once searches fill
+        # them, a case's repr, == and hash are unchanged, and so is its
+        # pickle round trip
+        text = (fixture_dir / "bench50.cases.xml").read_text()
+        base, priority = ct.parse_case_base(text, football_ctx)
+        tree = ct.build_tree(base, priority)
+        assert all(case._facts is None for case in base)
+        assert all(case._facts is None for case in tree.cases.values())
+        before = [(repr(case), hash(case)) for case in base]
+        world = ct.generate_world(900000, 22)
+        oracle = ct.TargetOracle(ct.elaborate(world, world.self_id, 120.0, football_ctx))
+        ct.scan_tree(tree, oracle)
+        ct.scan_linear(base, oracle)
+        assert all(case._facts is not None for case in base)
+        assert [(repr(case), hash(case)) for case in base] == before
+        assert base == ct.parse_case_base(text, football_ctx)[0]
+        for case in base:
+            copy = pickle.loads(pickle.dumps(case))
+            assert (copy, repr(copy), hash(copy)) == (case, repr(case), hash(case))
 
 
 class TestScanBudget:

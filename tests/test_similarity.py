@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import casetree as ct
 from casetree.cases import mask_weight
-from casetree.similarity import ceiling, objective, partial_score, scored_unify
+from casetree.similarity import ceiling, coverage_table, objective, partial_score, scored_unify
 from support import (
     brute_force_optimum,
     brute_force_similarity,
@@ -139,7 +139,29 @@ class TestCeiling:
             full = mask_weight(case.weights, (1 << n) - 1)
             for size in range(1, 231):
                 assert (ceiling(n, size, params).hex()
-                        == objective(case, size, params)(*full).hex()), (case, size)
+                        == partial_score(*full, case.total_weight, size, alpha).hex()
+                        == objective(case, coverage_table(size, n, params))(*full).hex()
+                        ), (case, size)
+
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_objective_reads_partial_score_bit_for_bit(self, alpha, data):
+        # a scan's objectives read the coverage factor from one table, which
+        # must give partial_score's value for every mask, size and alpha
+        weights = tuple(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False),
+            min_size=1, max_size=8)))
+        if not sum(weights):
+            weights = weights[:-1] + (1.0,)
+        case = ct.GenericCase("c", tuple(ct.Perception(f"p{i}", (ct.ME,), True)
+                                         for i in range(len(weights))), weights)
+        size = data.draw(st.integers(min_value=1, max_value=300))
+        params = ct.SimilarityParams(alpha)
+        score = objective(case, coverage_table(size, len(weights) + 3, params))
+        for mask in range(1 << len(weights)):
+            w, n = mask_weight(weights, mask)
+            assert (score(w, n).hex()
+                    == partial_score(w, n, case.total_weight, size, alpha).hex()), mask
 
 
 class TestParams:

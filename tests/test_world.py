@@ -234,7 +234,11 @@ class TestSnapshotFormat:
     @pytest.mark.parametrize("old,new,message", [
         ("lastpass 1", "lastpass yes", "flag 'yes' is not 0 or 1"),
         ("96.53 55.44 1 - 0 0", "96.53 55.44 1 - 0 0 1", "'player' record has 9 fields"),
-    ], ids=["flag", "trailing-field"])
+        # an infinite field put every team-A player out of attack, and a NaN
+        # one read as a player outside the field
+        ("field 100.0 60.0", "field inf inf", "field size inf x inf is not finite and positive"),
+        ("field 100.0 60.0", "field nan 60", "field size nan x 60.0 is not finite and positive"),
+    ], ids=["flag", "trailing-field", "field-inf", "field-nan"])
     def test_retrieve_exits_2_on_a_lenient_field(self, fixture_dir, tmp_path, capsys,
                                                  old, new, message):
         world = tmp_path / "w101n6.world"
