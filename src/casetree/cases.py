@@ -157,12 +157,13 @@ class GenericCase:
     ``_facts`` holds what every binding search of the case would otherwise
     recompute: each perception's generic labels, by ``pattern_labels``, and
     a ``_WeightSums`` of ``mask_weight`` over the case's weights, one (sum,
-    count) per matched mask its searches have met. That is at most 2^n sums
-    for n perceptions; a case of many perceptions holds as many as the masks
-    its targets make it meet. ``_case_facts`` fills the facts in one
-    assignment at the case's first search, never at construction, and only
-    the sums grow after that. The case's value never changes, and the facts
-    take no part in ``repr``, ``==`` or ``hash``."""
+    count) per matched mask its searches have met, up to ``_MEMO_CAP``. That
+    is at most 2^n sums for n perceptions, so a case of up to 12 perceptions
+    keeps every mask it meets; one of more perceptions keeps the first 4,096
+    and sums any other mask again at each lookup. ``_case_facts`` fills the
+    facts in one assignment at the case's first search, never at
+    construction, and only the sums grow after that. The case's value never
+    changes, and the facts take no part in ``repr``, ``==`` or ``hash``."""
 
     id: str
     perceptions: tuple[Perception, ...]
@@ -302,13 +303,17 @@ class Substitution:
         return bool(self.pairs)
 
 
+NO_SUBSTITUTION = Substitution()
 _new_object, _set_attribute = object.__new__, object.__setattr__
 
 
 def _found_substitution(pairs: tuple[tuple[str, str], ...]) -> Substitution:
     """The ``Substitution`` of a binding search's answer: its pairs are sorted
     by label, with distinct labels and ids, as the search builds them, so the
-    constructor's re-sort and injectivity check are skipped."""
+    constructor's re-sort and injectivity check are skipped. An empty answer
+    is the one shared ``NO_SUBSTITUTION``."""
+    if not pairs:
+        return NO_SUBSTITUTION
     sub = _new_object(Substitution)
     _set_attribute(sub, "pairs", pairs)
     return sub
@@ -331,9 +336,13 @@ def mask_weight(weights, mask: int) -> tuple[float, int]:
     return w, n
 
 
+_MEMO_CAP = 1 << 12  # every mask of a case of up to 12 perceptions
+
+
 class _WeightSums(dict):
     """``mask -> mask_weight(weights, mask)``, each summed at its first lookup
-    and kept: a case's memo of the weight sums its searches score."""
+    and kept while fewer than ``_MEMO_CAP`` are: a case's memo of the weight
+    sums its searches score, bounded for a case of many perceptions."""
 
     __slots__ = ("weights",)
 
@@ -342,7 +351,10 @@ class _WeightSums(dict):
         self.weights = weights
 
     def __missing__(self, mask: int) -> tuple[float, int]:
-        found = self[mask] = mask_weight(self.weights, mask)
+        found = mask_weight(self.weights, mask)
+        # scans sharing the case may each pass the check: one sum over per thread
+        if len(self) < _MEMO_CAP:
+            self[mask] = found
         return found
 
 
@@ -511,8 +523,8 @@ def _search_bindings(sums, perceptions, objective, interrupted=None, floor=-math
 
 def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None):
     """``_search_bindings`` over every perception of ``source`` against
-    ``target``, through the case's facts: (best_value, Substitution, frozenset
-    of matched indices), or None once ``interrupted()`` holds."""
+    ``target``, through the case's facts: (best_value, Substitution, bitmask
+    of the matched indices), or None once ``interrupted()`` holds."""
     labels, sums = _case_facts(source)
     found = _search_bindings(sums, [
         (i, labels[i], target.completions(p.name, p.values, p.choice))
@@ -521,8 +533,7 @@ def _unify(source: GenericCase, target: TargetCase, objective, interrupted=None)
     if found is None:
         return None
     best_value, pairs, matched = found
-    return best_value, _found_substitution(pairs), frozenset(
-        i for i in range(matched.bit_length()) if matched >> i & 1)
+    return best_value, _found_substitution(pairs), matched
 
 
 def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozenset[int]]:
@@ -533,7 +544,7 @@ def unify(source: GenericCase, target: TargetCase) -> tuple[Substitution, frozen
     when nothing matches.
     """
     _, sub, matched = _unify(source, target, lambda w, n: w)
-    return sub, matched
+    return sub, frozenset(i for i in range(matched.bit_length()) if matched >> i & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ from functools import cache, partial
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .cases import (GenericCase, Perception, Substitution, TargetCase, Value, _case_facts,
-                    _found_substitution, _search_bindings)
+from .cases import (NO_SUBSTITUTION, GenericCase, Perception, Substitution, TargetCase, Value,
+                    _case_facts, _found_substitution, _search_bindings)
 from .similarity import (DEFAULT_PARAMS, SimilarityParams, coverage_table, objective,
                          scored_unify)
 
@@ -299,9 +299,6 @@ class TargetOracle:
 # ---------------------------------------------------------------------------
 # results
 
-NO_SUBSTITUTION = Substitution()
-
-
 @dataclass(frozen=True, slots=True)
 class CaseOutcome:
     score: float
@@ -433,8 +430,7 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
         if score > floor:
             # with pruning, only the last tested arc of a branch can contradict
             per_case[cid] = CaseOutcome(score, count, prune and len(tested) < count, True,
-                                        _found_substitution(pairs) if pairs
-                                        else NO_SUBSTITUTION)
+                                        _found_substitution(pairs))
         return True
 
     # frontier entries: (-bound, 0, sequence number, arc, tested prefix) for an

@@ -78,8 +78,9 @@ def objective(case: GenericCase, coverage: list[float]):
 def scored_unify(source: GenericCase, target: TargetCase,
                  params: SimilarityParams = DEFAULT_PARAMS, interrupted=None,
                  coverage: list[float] | None = None
-                 ) -> tuple[float, Substitution, frozenset[int]] | None:
-    """Best score over all injective bindings, with the binding that won.
+                 ) -> tuple[float, Substitution, int] | None:
+    """Best score over all injective bindings, with the binding that won and
+    the bitmask of the perceptions it matches (bit i for index i).
 
     Maximizing the full score (not just the matched weight) keeps offline
     results consistent with what an exhaustive scan converges to when a

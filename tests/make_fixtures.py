@@ -4,12 +4,14 @@ Run from the repository root::
 
     python3 tests/make_fixtures.py
 
-Deterministic: the same seeds always produce byte-identical files. The
-expert sets mark the cases whose entire perception pattern holds in the
-target (unification matches every perception), which keeps them immune to
-pruning; the retrieval threshold sits below every expert member's offline
-score so the threshold rule can also over-retrieve, giving the quality
-metrics genuine false positives to measure.
+Deterministic: the same seeds always produce byte-identical files.
+``fixture_texts`` returns them without writing, and ``test_cli.py`` compares
+them with the committed ones. The expert sets mark the cases whose entire
+perception pattern holds in the target (unification matches every
+perception), which keeps them immune to pruning; the retrieval threshold
+sits below every expert member's offline score so the threshold rule can
+also over-retrieve, giving the quality metrics genuine false positives to
+measure.
 
 The script verifies the properties the benchmark suite relies on before
 writing anything: nonempty expert sets with over-retrieval headroom,
@@ -123,26 +125,30 @@ def verify(base, targets, truth):
     return share
 
 
-def main() -> int:
+def fixture_texts() -> tuple[dict[str, str], str]:
+    """The generated fixture files, file name -> text, once ``verify`` holds
+    for them, and a one-line summary of their properties. Writes nothing."""
     base, worlds, targets = build_base()
     truth = expert_sets(base, targets)
     share = verify(base, targets, truth)
 
     ctx = ct.football_context()
-    FIXTURES.mkdir(exist_ok=True)
-    (FIXTURES / "bench50.cases.xml").write_text(
-        ct.serialize_case_base(base, ct.FOOTBALL_PRIORITY, ctx), encoding="utf-8"
-    )
-    (FIXTURES / "bench50.truth.txt").write_text(
-        ct.format_ground_truth(truth), encoding="utf-8"
-    )
+    texts = {
+        "bench50.cases.xml": ct.serialize_case_base(base, ct.FOOTBALL_PRIORITY, ctx),
+        "bench50.truth.txt": ct.format_ground_truth(truth),
+    }
     for world in worlds:
-        (FIXTURES / f"{world.wid}.world").write_text(
-            ct.dump_snapshot(world), encoding="utf-8"
-        )
+        texts[f"{world.wid}.world"] = ct.dump_snapshot(world)
     sizes = {wid: len(c1) for wid, c1 in truth.items()}
-    print(f"wrote bench50 fixtures: {len(base)} cases, expert sets {sizes}, "
-          f"dominance {share:.2%}")
+    return texts, f"{len(base)} cases, expert sets {sizes}, dominance {share:.2%}"
+
+
+def main() -> int:
+    texts, summary = fixture_texts()
+    FIXTURES.mkdir(exist_ok=True)
+    for name, text in texts.items():
+        (FIXTURES / name).write_text(text, encoding="utf-8")
+    print(f"wrote bench50 fixtures: {summary}")
     return 0
 
 

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import casetree as ct
 from casetree.cli import main
+from make_fixtures import fixture_texts
+
+WORLDS = sorted(path.name for path in (Path(__file__).parent / "fixtures").glob("w*.world"))
 
 
 @pytest.fixture()
@@ -23,10 +31,17 @@ def paths(fixture_dir, tmp_path):
     )
     world_path = tmp_path / "case1.world"
     world_path.write_text(ct.dump_snapshot(world))
+    # elaborate matches predicate names case-insensitively: it would file
+    # every partner perception under the later spelling
+    partner_ctx = tmp_path / "partner.ctx.xml"
+    partner_ctx.write_text((fixture_dir / "small.ctx.xml").read_text().replace(
+        "</ctx>", '<predicate name="PARTNER"><variable name="P1" type="Agent"/>'
+                  '<choice name="V" type="Boolean"/></predicate></ctx>'))
     return {
         "ctx": str(fixture_dir / "small.ctx.xml"),
         "base": str(fixture_dir / "three.cases.xml"),
         "world": str(world_path),
+        "partner_ctx": str(partner_ctx),
         "tmp": tmp_path,
     }
 
@@ -253,11 +268,12 @@ class TestRetrieve:
         (["--radius", "nan"], "radius"),
         (["--radius", "-5"], "radius"),
         (["--deadline-ms", "nan"], "deadline"),
+        (["--ctx", "{partner_ctx}"], "predicate 'PARTNER' differs from 'partner' only in case"),
     ])
     def test_bad_observer_or_radius_is_validation_failure(self, paths, capsys, flags,
                                                            message):
         code = main(["retrieve", "--ctx", paths["ctx"], "--base", paths["base"],
-                     "--world", paths["world"], *flags])
+                     "--world", paths["world"], *(flag.format(**paths) for flag in flags)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -376,3 +392,95 @@ class TestBench:
         out = paths["tmp"] / "x.csv"
         assert main(["bench", "alpha", "--ctx", paths["ctx"],
                      "--base", paths["base"], "--out", str(out)]) == 2
+
+
+def bench50(fixture_dir, world, *flags) -> list[str]:
+    """``retrieve`` against the bench50 base over the football context."""
+    return ["retrieve", "--ctx", str(fixture_dir / "football.ctx.xml"),
+            "--base", str(fixture_dir / "bench50.cases.xml"), "--world", str(world), *flags]
+
+
+def per_case(path) -> list[tuple[str, ...]]:
+    """A ``retrieve --out`` table's case, score, evaluated, substitution and
+    best columns: what an unpruned tree scan and a linear scan share."""
+    return [(row[0], row[1], row[4], row[5], row[6]) for row in read_csv(path)]
+
+
+class TestCommittedOutput:
+    """What the command prints and writes on the committed fixtures, and
+    that ``tests/make_fixtures.py`` still generates them."""
+
+    def test_make_fixtures_regenerates_them_byte_for_byte(self, fixture_dir):
+        texts, _ = fixture_texts()
+        assert sorted(texts) == sorted(["bench50.cases.xml", "bench50.truth.txt", *WORLDS])
+        for name, text in texts.items():
+            assert text.encode("utf-8") == (fixture_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("ctx, base, line", [
+        ("small.ctx.xml", "three.cases.xml", "nodes=5 leaves=3 depth=3"),
+        ("football.ctx.xml", "bench50.cases.xml", "nodes=186 leaves=50 depth=8"),
+    ], ids=["three", "bench50"])
+    def test_build_prints_the_whole_line(self, fixture_dir, capsys, ctx, base, line):
+        code = main(["build", "--ctx", str(fixture_dir / ctx), "--base", str(fixture_dir / base)])
+        assert code == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_readme_retrieve_example(self, fixture_dir, capsys):
+        assert main(bench50(fixture_dir, fixture_dir / "w202n6.world", "--budget", "40")) == 0
+        assert capsys.readouterr().out == (
+            "best=c006 score=0.588235 substitution=A->Agent.3 prune=on tests=40\n")
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_deadline_that_does_not_pass_answers_the_unbounded_best(self, fixture_dir, capsys,
+                                                                    world):
+        # tests= may differ, since top-1 stops once no bound beats the leader
+        flags = bench50(fixture_dir, fixture_dir / world)
+        assert main(flags) == 0
+        best, score, substitution, *_ = capsys.readouterr().out.split()
+        assert main([*flags, "--deadline-ms", "5000"]) == 0
+        assert capsys.readouterr().out.split()[:3] == [best, score, substitution]
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_unpruned_tree_and_linear_scans_agree_per_case(self, fixture_dir, tmp_path,
+                                                            capsys, world):
+        # an unpruned tree scan converges to the offline similarity that the
+        # linear scan computes
+        tree, linear = tmp_path / "tree.csv", tmp_path / "linear.csv"
+        flags = bench50(fixture_dir, fixture_dir / world)
+        assert main([*flags, "--no-prune", "--out", str(tree)]) == 0
+        assert main([*flags, "--engine", "linear", "--out", str(linear)]) == 0
+        capsys.readouterr()
+        assert len(per_case(tree)) == 51
+        assert per_case(tree) == per_case(linear)
+
+    def test_22_player_ranking_does_not_depend_on_the_hash_seed(self, fixture_dir, tmp_path,
+                                                               capsys):
+        # a whole-pitch ranking, pruned or not, writes one table under every
+        # hash seed; unpruned, it agrees per case with the linear scan, where
+        # one-agent-slot answers hold up to 21 rows
+        world = tmp_path / "w22.world"
+        world.write_text(ct.dump_snapshot(ct.generate_world(900007, 22)))
+        flags = bench50(fixture_dir, world, "--radius", "120")
+        script = textwrap.dedent("""\
+            import sys
+            from casetree.cli import main
+            *flags, out = sys.argv[1:]
+            for prune in ("--prune", "--no-prune"):
+                assert main([*flags, prune, "--out", f"{out}{prune}.csv"]) == 0
+            """)
+        src = Path(ct.__file__).resolve().parent.parent
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script, *flags, str(tmp_path / seed)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for prune in ("--prune", "--no-prune"):
+            first = (tmp_path / f"0{prune}.csv").read_bytes()
+            assert first == (tmp_path / f"2{prune}.csv").read_bytes(), prune
+            assert len(first.splitlines()) == 51
+        linear = tmp_path / "linear.csv"
+        assert main([*flags, "--engine", "linear", "--out", str(linear)]) == 0
+        capsys.readouterr()
+        assert per_case(tmp_path / "0--no-prune.csv") == per_case(linear)

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import casetree as ct
 from casetree.cases import mask_weight
-from casetree.similarity import coverage_table, objective
+from casetree.similarity import coverage_table, objective, scored_unify
 from support import (brute_force_optimum, brute_force_similarity, random_base, random_target,
                      substitute, zero_odd_weights)
 
@@ -200,6 +200,51 @@ class TestTargetOracle:
             again = [first.completions(*q) for q in questions]
             expected = [reference_completions(first, *q) for q in questions]
             assert forward == backward == again == expected
+
+    def test_a_stand_in_oracle_scans_as_the_target_oracle_does(self, fixture_dir,
+                                                               football_ctx, monkeypatch):
+        # a stand-in that exposes only target, size and completions (as a
+        # benchmark's timing wrapper does) gives the same results; scan_tree
+        # asks its completions once per test, and scan_linear scores each
+        # case it evaluates through the module attribute a wrapper replaces
+        class StandIn:
+            __slots__ = ("target", "size", "asked")
+
+            def __init__(self, target):
+                self.target, self.size, self.asked = target, len(target), 0
+
+            def completions(self, name, values, desired):
+                self.asked += 1
+                return self.target.completions(name, values, desired)
+
+        scored = []
+        original = ct.retrieval.scored_unify
+
+        def counted(case, *args):
+            scored.append(case.id)
+            return original(case, *args)
+
+        monkeypatch.setattr(ct.retrieval, "scored_unify", counted)
+        base, priority = ct.parse_case_base(
+            (fixture_dir / "bench50.cases.xml").read_text(), football_ctx)
+        tree = ct.build_tree(base, priority)
+        for path in sorted(fixture_dir.glob("w*.world")):
+            world = ct.load_snapshot(path.read_text())
+            target = ct.elaborate(world, world.self_id, ctx=football_ctx)
+            for scan in (lambda o: ct.scan_tree(tree, o),
+                         lambda o: ct.scan_tree(tree, o, ct.ScanBudget.comparisons(40)),
+                         lambda o: ct.scan_tree(tree, o, cancel=threading.Event())):
+                stand_in = StandIn(target)
+                got = scan(stand_in)
+                assert masked([got]) == masked([scan(ct.TargetOracle(target))])
+                assert stand_in.asked == got.tests_used > 0
+            for budget in (ct.UNBOUNDED, ct.ScanBudget.comparisons(40)):
+                scored.clear()
+                got = ct.scan_linear(base, StandIn(target), budget)
+                assert scored == [cid for cid, oc in got.per_case.items() if oc.evaluated]
+                assert scored
+                assert masked([got]) == masked([ct.scan_linear(base, ct.TargetOracle(target),
+                                                               budget)])
 
     def test_consistent_with_elaborate(self):
         """Every held perception's ground pattern holds, and with its Boolean
@@ -1105,6 +1150,34 @@ class TestCaseFacts:
         warm, _ = answers(reversed(forward))
         fresh, _ = answers(forward, fresh=True)
         assert cold == warm == fresh
+
+    def test_a_large_case_keeps_a_bounded_memo(self, football_ctx):
+        # a case generalized from a whole 22-player target meets hundreds of
+        # new masks per target; its memo stops at 2^12 sums, and every
+        # answer, interrupted or not, equals a cold copy's
+        def elaborated(seed):
+            world = ct.generate_world(seed, 22)
+            return ct.elaborate(world, world.self_id, 120.0, football_ctx)
+
+        def cold(case):
+            return ct.GenericCase(case.id, case.perceptions, case.weights, case.action)
+
+        def nodes(n):
+            asked = itertools.count(1)
+            return lambda: next(asked) > n
+
+        own = elaborated(900000)
+        case = ct.generalize(own, "pass")
+        assert len(case.perceptions) == 226
+        for seed in range(900001, 900021):
+            target = elaborated(seed)
+            got = scored_unify(case, target, interrupted=nodes(300))
+            assert repr(got) == repr(scored_unify(cold(case), target, interrupted=nodes(300)))
+        assert len(case._facts[1]) <= 4096
+        # with the memo full, a search that ends sums the masks it lacks
+        got = scored_unify(case, own)
+        assert got[0] == 1.0
+        assert repr(got) == repr(scored_unify(cold(case), own))
 
     def test_facts_change_no_value_of_a_case(self, fixture_dir, football_ctx):
         # parsing and compiling leave the facts empty; once searches fill
