@@ -31,9 +31,9 @@ carries the decision attached to the case. Any other attribute is an error.
 Unification has one matcher and one binding search. ``TargetCase.completions``
 lists every injective way a perception pattern can be bound so that it occurs
 in the target, as rows of ids, from an index the target builds when it is
-constructed; the index holds each one-agent-slot key's rows in answer form,
-sorted and distinct, so a pattern with one generic slot is answered by a copy
-of them, and every call returns a fresh list. ``_search_bindings`` finds a
+constructed. A target holds each perception once, so a key's rows are sorted
+and distinct: a ground pattern, or one with one generic slot, gets a fresh
+copy of them and any other is matched row by row. ``_search_bindings`` finds a
 case's best injective binding by a bounded depth-first search over those
 rows, forward checking each perception's domain as a bitmask over its rows:
 it is exact at every agent count and can be interrupted at every search
@@ -202,12 +202,12 @@ class TargetCase:
     ``completions`` answers from ``_index``: each perception's agent ids, in
     argument order, keyed by its predicate, choice and shape (per argument
     None for an agent slot, or the (kind, name) of ``me`` or a constant). A
-    key with one agent slot holds its rows in answer form, sorted and
-    distinct, so a pattern with one generic slot needs no sort or label work.
-    The constructor builds the whole index in the pass that rejects generic
-    agents, and it never changes after: ``completions`` returns a fresh list
-    the caller may change, so concurrent scans may share a target. Derived
-    from the perceptions, it takes no part in ``repr``, ``==`` or ``hash``.
+    perception is its key and one row, and the constructor rejects one given
+    twice, so a key's rows are sorted and distinct: ``[()]`` for a ground key,
+    answers for a one-agent-slot key. Built with the target, the index never
+    changes: ``completions`` returns a fresh list the caller may change, so
+    concurrent scans may share a target. Derived from the perceptions, it
+    takes no part in ``repr``, ``==`` or ``hash``.
     """
 
     perceptions: tuple[Perception, ...]
@@ -227,11 +227,11 @@ class TargetCase:
                 else:
                     shape.append((v.kind, v.name))
             index.setdefault((p.name, p.choice, tuple(shape)), []).append(tuple(ids))
-        for key, rows in index.items():
-            if len(rows[0]) == 1:  # one agent slot: rows in answer form
-                rows.sort()  # elaborate emits them sorted: one linear pass
-                if len(set(rows)) < len(rows):
-                    index[key] = sorted(set(rows))
+        for rows in index.values():
+            if len(rows) > 1:
+                rows.sort()  # elaborate emits one-slot rows sorted: one linear pass
+                if len(set(rows)) < len(rows):  # a perception given twice
+                    raise CaseError(f"target from {self.origin or '?'}: duplicate perception")
         object.__setattr__(self, "_index", index)
 
     def completions(self, name: str, values: tuple[Value, ...],
@@ -252,19 +252,11 @@ class TargetCase:
         entries = self._index.get((name, desired, tuple(shape)))
         if not entries:
             return []
-        if len(slots) == 1 and slots[0].kind == "generic":
+        if not slots or (len(slots) == 1 and slots[0].kind == "generic"):
             return entries[:]  # stored sorted and distinct; the copy is the caller's
         labels = pattern_labels(slots)
-        if len(labels) == len(slots):  # a distinct label in every slot
-            names = tuple(v.name for v in slots)
-            if labels != names:
-                where = [names.index(label) for label in labels]
-                entries = [tuple(ids[k] for k in where) for ids in entries]
-            if len(slots) > 1:
-                entries = [row for row in entries if len(set(row)) == len(row)]
-            return sorted(set(entries))
-        out: set[tuple[str, ...]] = set()
-        for ids in entries:  # a concrete id or a repeated label in the pattern
+        out = []  # distinct: distinct stored rows bind distinct rows
+        for ids in entries:
             binding: dict[str, str] = {}
             for v, i in zip(slots, ids):
                 if v.kind == "generic":
@@ -275,8 +267,9 @@ class TargetCase:
             else:
                 row = tuple(map(binding.__getitem__, labels))
                 if len(set(row)) == len(row):
-                    out.add(row)
-        return sorted(out)
+                    out.append(row)
+        out.sort()
+        return out
 
     def __len__(self) -> int:
         return len(self.perceptions)
@@ -375,7 +368,7 @@ def _row_masks(rows):
     """Bitmasks over ``rows``, bit j standing for ``rows[j]``: per column, id
     -> the rows holding it there; and id -> the rows holding it anywhere."""
     has, bit = {}, 1
-    if len(rows[0]) == 1:  # one-label rows hold distinct single ids
+    if len(rows[0]) == 1:  # distinct single ids: a target holds each perception once
         for (cid,) in rows:
             has[cid] = bit
             bit <<= 1

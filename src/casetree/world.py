@@ -296,6 +296,11 @@ def generate_world(seed: int, n_players: int) -> WorldSnapshot:
 
 
 def dump_snapshot(world: WorldSnapshot) -> str:
+    """Raises ValueError for an id that ``load_snapshot`` cannot give back: one
+    that is not a single token without whitespace, or a player id ``-``."""
+    for x, bad in ((world.wid, False), *((p.pid, p.pid == "-") for p in world.players)):
+        if bad or x.split() != [x]:
+            raise ValueError(f"snapshot cannot hold id {x!r}")
     lines = [
         f"world {world.wid}",
         f"tick {world.tick}",

@@ -136,7 +136,7 @@ class TestTargetOracle:
                             got = oracle.completions(name, pattern, choice)
                             assert got == sorted(expected), (world.wid, radius, name, choice)
 
-    @given(st.lists(_perceptions, max_size=40), st.sampled_from("pqr"),
+    @given(st.lists(_perceptions, max_size=40, unique=True), st.sampled_from("pqr"),
            st.lists(st.one_of(_target_values, _labels.map(ct.generic)), max_size=3),
            st.sampled_from(_CHOICES), st.one_of(st.none(), st.integers(0, 39)),
            st.lists(st.one_of(st.none(), _labels), min_size=3, max_size=3))
@@ -148,8 +148,10 @@ class TestTargetOracle:
              "q", [], False, 1, ["A", "A", "B"])  # a label twice, one id for two
     @example([P("p", (A2,), True), P("p", (A10,), True)],
              "q", [], False, 0, ["A", None, None])  # one slot, ids out of order
-    @example([P("p", (A2,), True), P("p", (A10,), True), P("p", (A2,), True)],
-             "q", [], False, 0, ["A", None, None])  # and one of them twice
+    @example([P("p", (A2, A10), True), P("p", (A2, A2), True)],
+             "q", [], False, 0, ["A", "B", None])  # two labels in slot order
+    @example([P("p", (A2, A10), True), P("p", (A10, A2), True)],
+             "q", [], False, 0, ["B", "A", None])  # and against it: rows re-sorted
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_perception_matcher(self, perceptions, name, values, desired,
                                                held, labels):
@@ -166,15 +168,27 @@ class TestTargetOracle:
         assert (ct.TargetOracle(target).completions(name, values, desired)
                 == reference_completions(target, name, values, desired))
 
+    @pytest.mark.parametrize("twice", [P("q", (ct.ME,), False), P("p", (A2,), True),
+                                       P("p", (A2, A10), True)],
+                             ids=["ground", "one slot", "two slots"])
+    def test_a_perception_given_twice_is_rejected(self, twice):
+        # a target holds each perception once, as a generic case does; the
+        # others share a key with the repeated one but not its row
+        others = (P("q", (ct.ME,), True), P("p", (A10,), True), P("p", (A10, A2), True))
+        with pytest.raises(ct.CaseError) as err:
+            ct.TargetCase((twice, *others, twice), origin="w7")
+        assert str(err.value) == "target from w7: duplicate perception"
+
     def test_returned_rows_belong_to_the_caller(self):
-        # one-agent-slot answers are stored in answer form: a caller that
-        # grows or empties the list it was given changes no later answer
+        # ground and one-agent-slot answers are copies of stored rows: a caller
+        # that grows or empties the list it was given changes no later answer
         world = ct.generate_world(5, 22)
         target = ct.elaborate(world, world.self_id, 120.0)
         questions = {(p.name, tuple(ct.generic(f"L{k}") if v.kind == "concrete" else v
                                     for k, v in enumerate(p.values)), p.choice)
                      for p in target.perceptions}
         assert any(len(q[1]) == 1 and q[1][0].kind == "generic" for q in questions)
+        assert any(not ct.cases.pattern_labels(q[1]) for q in questions)
         for q in sorted(questions, key=repr):
             expected = reference_completions(target, *q)
             assert expected
@@ -187,11 +201,12 @@ class TestTargetOracle:
         # the index is built with the target, so lookups leave it as it was:
         # two equal targets asked in opposite orders, one of them twice, give
         # the per-perception matcher's rows
-        tree = ct.build_tree(random_base(3, 40, max_players=22), ct.FOOTBALL_PRIORITY)
+        tree = ct.build_tree(random_base(2, 40, max_players=22), ct.FOOTBALL_PRIORITY)
         questions = [(arc.predicate, arc.values, arc.test)
                      for node in tree.iter_nodes() for arc in node.arcs]
         questions += [("hasBall", (ct.ME,), "long"), ("ratio", (ct.generic("A"),), "even")]
         assert len({(name, test) for name, _, test in questions}) > 10
+        assert any(len(ct.cases.pattern_labels(values)) == 2 for _, values, _ in questions)
         for seed in (5, 6):
             world = ct.generate_world(seed, 22)
             first, second = (ct.elaborate(world, world.self_id, 120.0) for _ in range(2))

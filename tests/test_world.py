@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import casetree as ct
@@ -164,6 +166,21 @@ class TestSnapshotFormat:
             world = ct.generate_world(seed, 6)
             again = ct.load_snapshot(ct.dump_snapshot(world))
             assert again == world
+
+    @pytest.mark.parametrize("wid, pid", [("w 1", "Agent.1"), ("compact", "a b"),
+                                          ("", "Agent.1"), ("compact", "-")])
+    def test_dump_rejects_an_id_it_cannot_give_back(self, wid, pid):
+        # Agent.1, renamed pid, is self and marks Agent.3, so its id is written
+        # on the self line, on its own player line and as Agent.3's marker
+        world = compact_world()
+        players = tuple(dataclasses.replace(
+            p, pid=pid if p.pid == "Agent.1" else p.pid,
+            marked_by=pid if p.marked_by == "Agent.1" else p.marked_by) for p in world.players)
+        world = dataclasses.replace(world, wid=wid, players=players, self_id=pid)
+        bad = wid if wid != "compact" else pid
+        with pytest.raises(ValueError) as err:
+            ct.dump_snapshot(world)
+        assert str(err.value) == f"snapshot cannot hold id {bad!r}"
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
