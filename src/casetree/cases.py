@@ -60,7 +60,6 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Iterable
-from xml.sax.saxutils import escape
 
 from .context import (Context, ContextError, _attr, _root, _unknown_attribute,
                       validate_perception, xml_attribute)
@@ -151,8 +150,8 @@ class GenericCase:
     """A stored source case: perceptions, per-perception relevance weights,
     and the action it recommends. ``total_weight``, set at construction, is
     ``mask_weight`` over every index, so a full match's weight factor is
-    exactly 1.0 (``similarity.ceiling``). Derived from the weights, it takes
-    no part in ``repr``, ``==`` or ``hash``.
+    exactly 1.0 (``similarity.coverage_table``). Derived from the weights, it
+    takes no part in ``repr``, ``==`` or ``hash``.
 
     ``_facts`` holds what every binding search of the case would otherwise
     recompute: each perception's generic labels, by ``pattern_labels``, and
@@ -174,6 +173,8 @@ class GenericCase:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.id:
+            raise CaseError("a case needs a non-empty id")
         if len(self.perceptions) != len(self.weights):
             raise CaseError(f"case {self.id}: {len(self.weights)} weights for "
                             f"{len(self.perceptions)} perceptions")
@@ -723,10 +724,19 @@ def parse_case_base(document: str, ctx: Context) -> tuple[list[GenericCase], tup
 
 def serialize_case_base(cases: list[GenericCase], priority: tuple[str, ...],
                         ctx: Context) -> str:
-    """Emit a caseBase document that parse_case_base reads back identically."""
+    """Emit a caseBase document that parse_case_base reads back identically.
+    Raises ValueError for what it cannot give back: a repeated case id, or a
+    priority name that is empty or holds a comma or whitespace."""
     q = xml_attribute
-    lines = ["<caseBase>", f"  <priority>{escape(','.join(priority))}</priority>"]
+    for name in priority:
+        if "," in name or name.split() != [name]:
+            raise ValueError(f"case base cannot hold priority name {name!r}")
+    lines = ["<caseBase>", f"  <priority>{q(','.join(priority))}</priority>"]
+    seen: set[str] = set()
     for case in cases:
+        if case.id in seen:
+            raise ValueError(f"case base cannot hold case id {case.id!r} twice")
+        seen.add(case.id)
         lines.append(f'  <case id="{q(case.id)}" action="{q(case.action)}">')
         for p, w in zip(case.perceptions, case.weights):
             lines.append(f'    <predicate name="{q(p.name)}" weight="{w!r}">')

@@ -22,13 +22,22 @@ Context file format (XML, UTF-8)::
 
 A qualitative domain is declared by a ``domain`` element before the first
 ``choice`` that uses it; a ``choice`` type is either ``Boolean`` or the name
-of a domain declared so. Because labels are joined with commas and
-stripped, and case documents read the choices ``true`` and ``false`` as
-Booleans, no domain may be named ``Boolean`` and every label must be
+of a domain declared so. A ``ValueSort`` is its domain and labels: the
+domain ``Boolean`` is the boolean sort and takes no labels, any other is
+qualitative. Because labels are joined with commas and stripped, and case
+documents read the choices ``true`` and ``false`` as Booleans, no
+qualitative domain may be named ``Boolean`` and every label must be
 non-empty, free of commas and of surrounding whitespace, and neither
 ``true`` nor ``false``. Object sorts are not declared in the file: they come
 from the built-in tree ``SORTS``, rooted at DomainObject. An attribute the
 format above does not show is an error.
+
+A ``Context`` files each predicate and each qualitative domain under its
+own name and holds no two predicate names equal ignoring case.
+``serialize_context`` also needs every qualitative choice's domain
+declared, with the same labels; it raises ValueError for a context that
+breaks this, rather than write a document that reads back as another
+context or not at all.
 """
 
 from __future__ import annotations
@@ -57,46 +66,49 @@ class ContextError(ValueError):
 
 @dataclass(frozen=True)
 class ValueSort:
-    """Type of a choice variable: Boolean, or a named qualitative domain."""
+    """Type of a choice variable: Boolean, with no labels, or a qualitative domain."""
 
-    kind: str  # "boolean" | "qualitative"
     domain: str
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("boolean", "qualitative"):
-            raise ValueError(f"unknown value-sort kind {self.kind!r}")
-        if self.kind == "boolean" and (self.domain != "Boolean" or self.labels):
-            # the document formats write a boolean sort as type="Boolean" alone
-            raise ValueError(f"a boolean sort is domain 'Boolean' with no labels, got "
-                             f"{self.domain!r} with labels {self.labels!r}")
-        if self.kind == "qualitative":
-            # the document formats cannot carry these (see the module docstring)
-            if self.domain == "Boolean":
-                raise ValueError("a qualitative domain cannot be named 'Boolean'")
-            if not self.labels:
-                raise ValueError(f"qualitative domain {self.domain!r} has no labels")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValueError(f"qualitative domain {self.domain!r} has duplicate labels")
-            for label in self.labels:
-                if (not label or "," in label or label != label.strip()
-                        or label in ("true", "false")):
-                    raise ValueError(
-                        f"qualitative domain {self.domain!r} has label {label!r}: labels "
-                        "must be non-empty, hold no comma, have no surrounding "
-                        "whitespace, and not be 'true' or 'false'")
+        if self.domain == "Boolean":
+            if self.labels:
+                # the document formats write the boolean sort as type="Boolean" alone
+                raise ValueError(f"the Boolean sort takes no labels, got {self.labels!r}")
+            return
+        # the document formats cannot carry these (see the module docstring)
+        if not self.labels:
+            raise ValueError(f"qualitative domain {self.domain!r} has no labels")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"qualitative domain {self.domain!r} has duplicate labels")
+        for label in self.labels:
+            if (not label or "," in label or label != label.strip()
+                    or label in ("true", "false")):
+                raise ValueError(
+                    f"qualitative domain {self.domain!r} has label {label!r}: labels "
+                    "must be non-empty, hold no comma, have no surrounding "
+                    "whitespace, and not be 'true' or 'false'")
+
+    @property
+    def kind(self) -> str:
+        """``"boolean"`` for the domain ``Boolean``, else ``"qualitative"``."""
+        return "boolean" if self.domain == "Boolean" else "qualitative"
 
     def accepts(self, value) -> bool:
-        if self.kind == "boolean":
-            return isinstance(value, bool)
-        return isinstance(value, str) and value in self.labels
+        if self.labels:  # only a qualitative sort has labels
+            return isinstance(value, str) and value in self.labels
+        return isinstance(value, bool)
 
 
-BOOLEAN = ValueSort("boolean", "Boolean")
+BOOLEAN = ValueSort("Boolean")
 
 
 def qualitative(domain: str, labels: Iterable[str]) -> ValueSort:
-    return ValueSort("qualitative", domain, tuple(labels))
+    """A qualitative sort; the domain name ``Boolean`` is the boolean sort's."""
+    if domain == "Boolean":
+        raise ValueError("a qualitative domain cannot be named 'Boolean'")
+    return ValueSort(domain, tuple(labels))
 
 
 #: The built-in object sorts, each mapped to its parent (None for the root).
@@ -151,13 +163,30 @@ class PredicateSchema:
 
 @dataclass(frozen=True)
 class Context:
-    """An immutable predicate vocabulary plus its domain table.
+    """An immutable predicate vocabulary plus its table of qualitative domains.
 
-    Safe to share across any number of concurrent retrieval sessions.
+    Each table files a value under its own name, and no two predicate names
+    are equal ignoring case, since ``elaborate`` matches names so. Raises
+    ValueError otherwise. Safe to share across any number of concurrent
+    retrieval sessions.
     """
 
     predicates: dict[str, PredicateSchema]
     domains: dict[str, ValueSort] = field(default_factory=dict)
+
+    def __post_init__(self):
+        by_lower: dict[str, str] = {}  # lower-cased name -> its first spelling
+        for key, schema in self.predicates.items():
+            if key != schema.name:
+                raise ValueError(f"predicate {schema.name!r} filed under {key!r}")
+            first = by_lower.setdefault(key.lower(), key)
+            if first != key:
+                raise ValueError(f"predicate {key!r} differs from {first!r} only in case")
+        for key, sort in self.domains.items():
+            if key != sort.domain:
+                raise ValueError(f"domain {sort.domain!r} filed under {key!r}")
+            if sort.kind == "boolean":
+                raise ValueError("the domain table holds qualitative domains, not Boolean")
 
 
 def validate_arguments(schema: PredicateSchema, values) -> str | None:
@@ -351,17 +380,24 @@ def xml_attribute(value: str) -> str:
 
 
 def serialize_context(ctx: Context) -> str:
-    """Emit the canonical document form; parse(serialize(ctx)) == ctx."""
+    """Emit the canonical document form; parse(serialize(ctx)) == ctx.
+    Raises ValueError for a qualitative choice whose domain ``ctx.domains``
+    does not hold with the same labels, as the document declares the
+    domains its choices name."""
     q = xml_attribute
     lines = ["<ctx>"]
     for domain in ctx.domains.values():
         lines.append(f'  <domain name="{q(domain.domain)}" values="{q(",".join(domain.labels))}"/>')
     for schema in ctx.predicates.values():
+        if schema.choice.labels and ctx.domains.get(schema.choice.domain) != schema.choice:
+            raise ValueError(f"predicate {schema.name!r} chooses from domain "
+                             f"{schema.choice.domain!r}, which the context does not declare "
+                             "with the same labels")
         lines.append(f'  <predicate name="{q(schema.name)}">')
         for var, sort_name in schema.params:
             lines.append(f'    <variable name="{q(var)}" type="{q(sort_name)}"/>')
-        type_name = "Boolean" if schema.choice.kind == "boolean" else schema.choice.domain
-        lines.append(f'    <choice name="{q(schema.choice_name)}" type="{q(type_name)}"/>')
+        lines.append(f'    <choice name="{q(schema.choice_name)}" '
+                     f'type="{q(schema.choice.domain)}"/>')
         lines.append("  </predicate>")
     lines.append("</ctx>")
     return "\n".join(lines) + "\n"

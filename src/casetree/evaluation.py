@@ -225,6 +225,8 @@ def load_ground_truth(text: str) -> dict[str, frozenset[str]]:
             raise ValueError(f"ground truth line {lineno}: expected 'target: ids'")
         target_id, _, ids = line.partition(":")
         target_id = target_id.strip()
+        if not target_id:
+            raise ValueError(f"ground truth line {lineno}: empty target id")
         if target_id in truth:
             raise ValueError(f"ground truth line {lineno}: target {target_id!r} given twice")
         truth[target_id] = frozenset(x.strip() for x in ids.split(",") if x.strip())

@@ -33,9 +33,9 @@ its frontier is a heap of arcs to test and cases to search, highest bound
 first, and it stops as soon as no entry left can beat the leader, the best
 case searched so far (the threshold stop of Fagin, Lotem & Naor, PODS 2001,
 over a best-first walk, as in Hansen & Zhou, JAIR 2007). An arc is bounded
-by ``similarity.ceiling`` for ``arc.most``: a case that matches all its
-perceptions scores exactly its coverage term, whatever its weights, so no
-case is scored before its walk ends. A case to search is bounded by the
+by the ``similarity.coverage_table`` entry for ``arc.most``: a case that
+matches all its perceptions scores exactly that entry, whatever its weights,
+so no case is scored before its walk ends. A case to search is bounded by the
 objective of its prefix's positions that have rows, the search's own first
 bound, its weights summed with ``cases.mask_weight`` as the search sums
 them. So no bound falls below the score it bounds and exact ties keep going
@@ -403,7 +403,8 @@ def scan_tree(tree: CaseTree, oracle: TargetOracle,
     interrupted = _stop_check(budget, start, cancel)
     cases, order = tree.cases, tree.order
     # the coverage factor per matched count, up to the most perceptions of any
-    # case; entry n is also ``ceiling(n)``
+    # case; entry n is also the score of a case that matches all n of its
+    # perceptions
     coverage = coverage_table(oracle.size, max(
         (arc.most for node in tree.roots for arc in node.arcs), default=0), params)
     # per case: (arcs of its branch tested, its tested prefix that no arc
@@ -568,7 +569,7 @@ def scan_linear(base: Sequence[GenericCase], oracle: TargetOracle,
         if interrupted is not None and interrupted():
             break
         try:
-            scored = scored_unify(case, oracle.target, params, interrupted, coverage)
+            scored = scored_unify(case, oracle.target, coverage, interrupted)
         except Exception as exc:
             raise RetrievalError(
                 f"evaluation failed on {cid}: {exc}",

@@ -15,8 +15,10 @@ offline value once the scan completes un-pruned. ``objective`` builds the
 one function both maximize, the formula for a case against a target of a
 given size, and the binding search asks it for every candidate and bound.
 Within one scan the coverage factor depends only on m, so a scan computes it
-once per m, in ``coverage_table``, and every objective reads it from there;
-the weight sums come from the case's own memo (``cases.GenericCase``).
+once per m, in ``coverage_table``, and every objective reads it from there,
+``scored_unify``'s included; entry m is also the score of a full match of m
+perceptions, which bounds a top-1 scan's arcs. The weight sums come from the
+case's own memo (``cases.GenericCase``).
 """
 
 from __future__ import annotations
@@ -49,21 +51,12 @@ def partial_score(matched_weight: float, matched_count: int, total_weight: float
     return (matched_weight / total_weight) * coverage
 
 
-def ceiling(perceptions: int, target_size: int, params: SimilarityParams) -> float:
-    """The highest score a case of ``perceptions`` perceptions can reach
-    against a target of ``target_size``: its ``objective`` when it matches
-    every perception. Its matched weight is then its total weight, summed in
-    the same order, so the weight factor is exactly 1.0 and the value does
-    not depend on the weights."""
-    return partial_score(1.0, perceptions, 1.0, target_size, params.alpha)
-
-
 def coverage_table(target_size: int, most: int, params: SimilarityParams) -> list[float]:
     """``partial_score``'s coverage factor against a target of ``target_size``
-    perceptions, indexed by the matched count m = 0..most. Entry m is
-    ``ceiling(m)``, whose weight factor is exactly 1.0, so it is the factor
-    bit for bit. Raises ValueError for an empty target."""
-    return [ceiling(m, target_size, params) for m in range(most + 1)]
+    perceptions, indexed by the matched count m = 0..most. Entry m is the
+    score of a full match of m perceptions, whose weight factor is exactly
+    1.0, so it is the factor bit for bit. Raises ValueError for an empty target."""
+    return [partial_score(1.0, m, 1.0, target_size, params.alpha) for m in range(most + 1)]
 
 
 def objective(case: GenericCase, coverage: list[float]):
@@ -75,10 +68,8 @@ def objective(case: GenericCase, coverage: list[float]):
     return lambda w, n: w / total * coverage[n]
 
 
-def scored_unify(source: GenericCase, target: TargetCase,
-                 params: SimilarityParams = DEFAULT_PARAMS, interrupted=None,
-                 coverage: list[float] | None = None
-                 ) -> tuple[float, Substitution, int] | None:
+def scored_unify(source: GenericCase, target: TargetCase, coverage: list[float],
+                 interrupted=None) -> tuple[float, Substitution, int] | None:
     """Best score over all injective bindings, with the binding that won and
     the bitmask of the perceptions it matches (bit i for index i).
 
@@ -87,15 +78,15 @@ def scored_unify(source: GenericCase, target: TargetCase,
     weight tie hides a larger matched set, or when binding a high-weight
     perception would sacrifice more coverage than it buys. The search asks
     ``interrupted()``, when given, at every node and returns None once it holds.
-    A scan passes the ``coverage_table`` it built for ``target`` and ``params``;
-    without one, the call builds its own. Raises ValueError for an empty target.
+    ``coverage`` is a ``coverage_table`` for ``target`` that reaches the
+    case's perception count.
     """
-    if coverage is None:
-        coverage = coverage_table(len(target), len(source.perceptions), params)
     return _unify(source, target, objective(source, coverage), interrupted)
 
 
 def similarity(source: GenericCase, target: TargetCase,
                params: SimilarityParams = DEFAULT_PARAMS) -> float:
-    """Offline similarity of a stored case to the current situation, in [0, 1]."""
-    return scored_unify(source, target, params)[0]
+    """Offline similarity of a stored case to the current situation, in [0, 1].
+    Raises ValueError for an empty target."""
+    coverage = coverage_table(len(target), len(source.perceptions), params)
+    return scored_unify(source, target, coverage)[0]

@@ -35,7 +35,11 @@ Snapshot text format (line oriented, UTF-8)::
 
 Every record but ``player`` may appear at most once, and each has exactly
 the fields shown; a flag is ``0`` or ``1``, a team ``teamA`` or ``teamB``,
-and each field size finite and positive.
+and each field size finite and positive. ``WorldSnapshot`` holds only ids
+this text gives back: the world id and every player id are one non-empty
+token with no whitespace, and no player id is ``-``, which reads as "no
+marker". So ``dump_snapshot`` writes every snapshot, and ``load_snapshot``
+refuses a text whose ids break the rule.
 """
 
 from __future__ import annotations
@@ -79,10 +83,15 @@ class WorldSnapshot:
     tick: int = 0
 
     def __post_init__(self):
+        # the ids the snapshot text gives back: it splits records on
+        # whitespace, and its "-" stands for a player marked by nobody
+        ids = [p.pid for p in self.players]
+        for x, bad in ((self.wid, False), *((pid, pid == "-") for pid in ids)):
+            if bad or x.split() != [x]:
+                raise ValueError(f"snapshot cannot hold id {x!r}")
         if not (0 < self.field_length < math.inf and 0 < self.field_width < math.inf):
             raise ValueError(f"field size {self.field_length!r} x {self.field_width!r} "
                              "is not finite and positive")
-        ids = [p.pid for p in self.players]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate player id")
         if self.self_id not in ids:
@@ -296,11 +305,7 @@ def generate_world(seed: int, n_players: int) -> WorldSnapshot:
 
 
 def dump_snapshot(world: WorldSnapshot) -> str:
-    """Raises ValueError for an id that ``load_snapshot`` cannot give back: one
-    that is not a single token without whitespace, or a player id ``-``."""
-    for x, bad in ((world.wid, False), *((p.pid, p.pid == "-") for p in world.players)):
-        if bad or x.split() != [x]:
-            raise ValueError(f"snapshot cannot hold id {x!r}")
+    """The snapshot text of ``world``, which ``load_snapshot`` reads back equal."""
     lines = [
         f"world {world.wid}",
         f"tick {world.tick}",

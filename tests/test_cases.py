@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import casetree as ct
 from casetree.cases import _search_bindings, _WeightSums, mask_weight
-from casetree.similarity import partial_score, scored_unify
+from casetree.similarity import coverage_table, partial_score, scored_unify
 from support import (
     brute_force_best_weight,
     brute_force_equivalent,
@@ -168,6 +168,26 @@ class TestParseCase:
         assert again == cases
         assert priority2 == priority
 
+
+    @pytest.mark.parametrize("ids, priority, message", [
+        (("",), ("hasball",), "a case needs a non-empty id"),
+        (("c1", "c2", "c1"), ("hasball",), "case base cannot hold case id 'c1' twice"),
+        (("c1",), ("has ball",), "case base cannot hold priority name 'has ball'"),
+        (("c1",), ("hasball", "partner,distance"),
+         "case base cannot hold priority name 'partner,distance'"),
+        (("c1",), ("hasball", ""), "case base cannot hold priority name ''"),
+        (("c1",), (" hasball",), "case base cannot hold priority name ' hasball'"),
+        (("c1",), ("has\x01ball",), "'has\\x01ball' holds '\\x01', which XML 1.0 forbids"),
+    ], ids=["empty-id", "repeated-id", "space", "comma", "empty-name", "padded-name",
+            "xml-forbidden"])
+    def test_base_it_cannot_give_back_is_refused(self, three_case_base, small_ctx,
+                                                 ids, priority, message):
+        # parse_case_base refuses, or reads back split, each of these bases
+        case = three_case_base[0][0]
+        with pytest.raises(ValueError) as err:
+            base = [ct.GenericCase(cid, case.perceptions, case.weights) for cid in ids]
+            ct.serialize_case_base(base, priority, small_ctx)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("markup", ["a&b", "a<b", "a>b", 'a"b', '&amp;<c d="e"/>',
                                         "a\tb", "a\nb", "a\rb", "a\r\nb", " a  "])
@@ -612,7 +632,8 @@ class TestLargeTargets:
             case = sample_case(rng, source, football_ctx, "c", max_perceptions=4)
         if zero:
             case = zero_odd_weights(case)
-        score, sub, matched = scored_unify(case, t, ct.SimilarityParams(alpha))
+        coverage = coverage_table(len(t), len(case.perceptions), ct.SimilarityParams(alpha))
+        score, sub, matched = scored_unify(case, t, coverage)
         want_score, want_sub, want_matched = brute_force_optimum(case, t, alpha)
         assert score == pytest.approx(want_score, abs=1e-12)
         assert sub == want_sub

@@ -201,13 +201,40 @@ class TestParseContext:
     @pytest.mark.parametrize("domain,labels", [
         ("Flag", ()),
         ("Boolean", ("x",)),
-        ("Flag", ("x",)),
     ])
     def test_boolean_sort_is_boolean_without_labels(self, domain, labels):
         # the documents write every boolean sort as type="Boolean", which
         # reads back as BOOLEAN
         with pytest.raises(ValueError):
-            ct.ValueSort("boolean", domain, labels)
+            ct.ValueSort(domain, labels)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda preds, doms: preds.update(PARTNER=ct.PredicateSchema(
+            "PARTNER", (("P1", "Agent"),), "V", ct.BOOLEAN)),
+         "predicate 'PARTNER' differs from 'partner' only in case"),
+        (lambda preds, doms: preds.update(hasball=preds["hasBall"]),
+         "predicate 'hasBall' filed under 'hasball'"),
+        (lambda preds, doms: doms.update(dist=doms["distance"]),
+         "domain 'distance' filed under 'dist'"),
+        (lambda preds, doms: doms.update(Boolean=ct.BOOLEAN),
+         "the domain table holds qualitative domains, not Boolean"),
+        (lambda preds, doms: doms.pop("direction"),
+         "predicate 'relativePosition' chooses from domain 'direction', which the context "
+         "does not declare with the same labels"),
+        (lambda preds, doms: doms.update(ratio=ct.qualitative("ratio", ("even",))),
+         "predicate 'ratio' chooses from domain 'ratio', which the context does not "
+         "declare with the same labels"),
+    ], ids=["case-only-difference", "predicate-key", "domain-key", "boolean-domain",
+            "undeclared-domain", "other-labels"])
+    def test_context_it_cannot_give_back_is_refused(self, football_ctx, edit, message):
+        # parse_context refuses each such document, or reads it back unequal;
+        # the tables' own rules hold for every Context, the declared domains
+        # only for one that is written
+        preds, doms = dict(football_ctx.predicates), dict(football_ctx.domains)
+        edit(preds, doms)
+        with pytest.raises(ValueError) as err:
+            ct.serialize_context(ct.Context(preds, doms))
+        assert str(err.value) == message
 
     def test_double_round_trip_is_stable(self, football_ctx):
         once = ct.serialize_context(football_ctx)

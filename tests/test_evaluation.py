@@ -270,6 +270,14 @@ class TestFixtureFormats:
         with pytest.raises(ValueError, match="line 2: target 'w1' given twice"):
             ct.load_ground_truth("w1: a,b\nw1: c\n")
 
+    @pytest.mark.parametrize("text", [": c1\n", "w1: a\n  :\n"])
+    def test_ground_truth_rejects_an_empty_target_id(self, text):
+        # format_ground_truth refuses to write one, so none reads back
+        lineno = text.count("\n")
+        with pytest.raises(ValueError) as err:
+            ct.load_ground_truth(text)
+        assert str(err.value) == f"ground truth line {lineno}: empty target id"
+
     def test_ground_truth_skips_blank_and_comment_lines(self):
         text = "# bench truth\n\nw1: a,b\n   \n  # w2: c\nw2: c\n"
         assert ct.load_ground_truth(text) == {"w1": frozenset({"a", "b"}), "w2": frozenset({"c"})}

@@ -23,6 +23,7 @@ from casetree.cases import mask_weight
 from casetree.similarity import coverage_table, objective, scored_unify
 from support import (brute_force_optimum, brute_force_similarity, random_base, random_target,
                      substitute, zero_odd_weights)
+import scan_digest
 
 
 @pytest.fixture()
@@ -450,6 +451,16 @@ class TestScanTree:
             outputs.append(proc.stdout.splitlines())
         assert len(outputs[0]) == len(list(fixture_dir.glob("w*.world"))) == 5
         assert outputs[0] == outputs[1]
+
+    def test_results_match_the_committed_digest(self):
+        # a grid of scans, both engines and similarity, pinned by the sha256
+        # of each result's repr: a change meant to keep behaviour keeps every
+        # line (regenerate with tests/scan_digest.py --write only on purpose)
+        want = scan_digest.DIGEST.read_text().splitlines()
+        got = scan_digest.digest_lines()
+        for line, (expected, actual) in enumerate(zip(want, got), start=1):
+            assert actual == expected, f"line {line} differs: {expected.rsplit(' ', 1)[0]}"
+        assert len(got) == len(want) == 220
 
     def test_oracle_failure_carries_partial_results(self, three_case_base, exact_case1_target):
         # a failed test ends every walk where it stands, as a spent comparison
@@ -1184,15 +1195,19 @@ class TestCaseFacts:
         own = elaborated(900000)
         case = ct.generalize(own, "pass")
         assert len(case.perceptions) == 226
+        def coverage(target):
+            return coverage_table(len(target), len(case.perceptions), ct.SimilarityParams())
+
         for seed in range(900001, 900021):
             target = elaborated(seed)
-            got = scored_unify(case, target, interrupted=nodes(300))
-            assert repr(got) == repr(scored_unify(cold(case), target, interrupted=nodes(300)))
+            got = scored_unify(case, target, coverage(target), nodes(300))
+            assert repr(got) == repr(scored_unify(cold(case), target, coverage(target),
+                                                  nodes(300)))
         assert len(case._facts[1]) <= 4096
         # with the memo full, a search that ends sums the masks it lacks
-        got = scored_unify(case, own)
+        got = scored_unify(case, own, coverage(own))
         assert got[0] == 1.0
-        assert repr(got) == repr(scored_unify(cold(case), own))
+        assert repr(got) == repr(scored_unify(cold(case), own, coverage(own)))
 
     def test_facts_change_no_value_of_a_case(self, fixture_dir, football_ctx):
         # parsing and compiling leave the facts empty; once searches fill

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import casetree as ct
 from casetree.cases import mask_weight
-from casetree.similarity import ceiling, coverage_table, objective, partial_score, scored_unify
+from casetree.similarity import coverage_table, objective, partial_score, scored_unify
 from support import (
     brute_force_optimum,
     brute_force_similarity,
@@ -62,7 +62,9 @@ class TestOfflineSimilarity:
                 continue
             for case in map(zero_odd_weights, base):
                 for alpha in (0.0, 0.5):
-                    score, sub, matched = scored_unify(case, t, ct.SimilarityParams(alpha))
+                    coverage = coverage_table(len(t), len(case.perceptions),
+                                              ct.SimilarityParams(alpha))
+                    score, sub, matched = scored_unify(case, t, coverage)
                     want_score, want_sub, want_matched = brute_force_optimum(case, t, alpha)
                     assert score == pytest.approx(want_score, abs=1e-12), (seed, case.id)
                     assert sub == want_sub, (seed, case.id, alpha)
@@ -138,7 +140,7 @@ class TestCeiling:
             n = len(case.perceptions)
             full = mask_weight(case.weights, (1 << n) - 1)
             for size in range(1, 231):
-                assert (ceiling(n, size, params).hex()
+                assert (coverage_table(size, n, params)[n].hex()
                         == partial_score(*full, case.total_weight, size, alpha).hex()
                         == objective(case, coverage_table(size, n, params))(*full).hex()
                         ), (case, size)

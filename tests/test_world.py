@@ -171,16 +171,22 @@ class TestSnapshotFormat:
                                           ("", "Agent.1"), ("compact", "-")])
     def test_dump_rejects_an_id_it_cannot_give_back(self, wid, pid):
         # Agent.1, renamed pid, is self and marks Agent.3, so its id is written
-        # on the self line, on its own player line and as Agent.3's marker
+        # on the self line, on its own player line and as Agent.3's marker;
+        # the snapshot refuses the id, so no world that dump could not give
+        # back is ever built
         world = compact_world()
         players = tuple(dataclasses.replace(
             p, pid=pid if p.pid == "Agent.1" else p.pid,
             marked_by=pid if p.marked_by == "Agent.1" else p.marked_by) for p in world.players)
-        world = dataclasses.replace(world, wid=wid, players=players, self_id=pid)
         bad = wid if wid != "compact" else pid
         with pytest.raises(ValueError) as err:
-            ct.dump_snapshot(world)
+            dataclasses.replace(world, wid=wid, players=players, self_id=pid)
         assert str(err.value) == f"snapshot cannot hold id {bad!r}"
+        if pid == "-":
+            # nor loaded: the text's "-" marker would read back as nobody
+            with pytest.raises(ValueError) as err:
+                ct.load_snapshot(ct.dump_snapshot(world).replace("Agent.1", "-"))
+            assert str(err.value) == f"snapshot cannot hold id {bad!r}"
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
